@@ -46,7 +46,7 @@ def main():
     data = os.path.join(work, "data")
     model = os.path.join(work, "model.lda")
     netdir = os.path.join(work, "net")
-    index = os.path.join(work, "index.jsonl")
+    index = os.path.join(work, "index.bin")
 
     run(["synth", "-o", data, "--topics", str(args.topics),
          "--docs-per-topic", str(args.docs_per_topic), "--seed", str(args.seed)], "synth")

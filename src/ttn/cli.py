@@ -301,26 +301,24 @@ def cmd_net_features(args):
 
 def cmd_index_build(args):
     entries = []
-    if args.modality in ("text", "both"):
-        model = lda_mod.load_model(args.lda)
+    model = lda_mod.load_model(args.lda) if args.modality in ("text", "both") else None
+    checkpoint = textnet.load_checkpoint(args.ckpt) if args.modality in ("image", "both") else None
+    if model is not None and checkpoint is not None:
+        if checkpoint.lda_model_hash not in ("", model.content_hash()):
+            raise DataError(f"checkpoint {args.ckpt} was trained against a different topic model than {args.lda}")
+    if model is not None:
         docs = corpus_mod.load_corpus(args.corpus)
         for doc in sorted(docs, key=lambda d: d.doc_id):
-            theta = model.doc_thetas.get(doc.doc_id)
+            theta = lda_mod.doc_theta(model, doc, seed=args.infer_seed)
             if theta is None:
-                counts = corpus_mod.text_to_counts(doc.text, model.word_index)
-                if not counts:
-                    log.warning("doc %s: no in-vocabulary token, not indexed", doc.doc_id)
-                    continue
-                theta = lda_mod.infer(
-                    corpus_mod.BowDocument(doc.doc_id, counts), model, seed=args.infer_seed
-                )
+                log.warning("doc %s: no in-vocabulary token, not indexed", doc.doc_id)
+                continue
             entries.append(
                 retrieval.IndexEntry(
                     item_id=doc.doc_id, modality="text", embedding=theta, payload_ref=doc.doc_id
                 )
             )
-    if args.modality in ("image", "both"):
-        checkpoint = textnet.load_checkpoint(args.ckpt)
+    if checkpoint is not None:
         image_root = args.image_root or os.path.dirname(os.path.abspath(args.corpus))
         if args.images_dir:
             rels = sorted(
@@ -419,12 +417,18 @@ def cmd_eval_map(args):
         for row in reader:
             if not row:
                 continue
-            query_id = row[0]
+            try:
+                query_id, score, relevant = row[0], float(row[2]), int(row[3]) != 0
+            except (IndexError, ValueError):
+                raise DataError(
+                    f"{args.scores}:{reader.line_num}: expected query_id,item_id,score,relevant"
+                    f" with a numeric score and a 0/1 relevant, got {row!r}"
+                )
             if query_id not in per_query:
                 per_query[query_id] = ([], [])
                 order.append(query_id)
-            per_query[query_id][0].append(float(row[2]))
-            per_query[query_id][1].append(int(row[3]) != 0)
+            per_query[query_id][0].append(score)
+            per_query[query_id][1].append(relevant)
     if not per_query:
         raise DataError("scores file holds no rows")
     lines = ["query_id,ap"]
@@ -456,10 +460,10 @@ def cmd_eval_sweep(args):
         docs, min_df=args.min_df, max_df_ratio=args.max_df_ratio, stopwords=stopwords
     )
     labels = {}
-    with open(args.labels, encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if row and row[0].strip():
-                labels[row[0].strip()] = row[1].strip()
+    for item_id, classes in evaluate_mod.load_labels(args.labels).items():
+        if len(classes) != 1:
+            raise DataError(f"{args.labels}: item {item_id!r} has {len(classes)} classes; the sweep needs one")
+        (labels[item_id],) = classes
 
     docs = sorted(docs, key=lambda d: d.doc_id)
     train_docs, val_docs = _stride_split(docs, args.val_fraction)

@@ -22,7 +22,7 @@ from .errors import (
     NoRelevant,
     SingleClassData,
 )
-from .fileio import MAGIC_FEATURES, atomic_write, read_tensor_file, write_tensor_file
+from .fileio import MAGIC_FEATURES, atomic_write, read_tensor_file, string_list, write_tensor_file
 
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2)
 DEFAULT_LAMBDA = 1e-3
@@ -222,8 +222,8 @@ def save_features(items, path, layer=""):
 
 def load_features(path):
     header, arrays = read_tensor_file(path, MAGIC_FEATURES)
-    ids = header.get("item_ids")
-    if ids is None or len(arrays) != 1 or len(ids) != arrays[0].shape[0]:
+    ids = string_list(header, "item_ids")
+    if len(arrays) != 1 or arrays[0].ndim != 2 or len(ids) != arrays[0].shape[0]:
         raise CorruptFile(f"{path}: malformed feature file")
     return list(zip(ids, arrays[0]))
 

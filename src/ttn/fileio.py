@@ -1,16 +1,17 @@
 """Low-level file plumbing: atomic writes, the binary tensor container, images.
 
-All binary artifacts share one container layout: 8 magic bytes, a uint64
-little-endian header length, a UTF-8 JSON header, then raw little-endian
-float64 payloads whose shapes the caller derives from the header. Every
-writer goes through atomic_write so a crashed run never leaves a half-written
-artifact behind.
+All binary artifacts (topic model, checkpoint, retrieval index, features)
+share one container layout: 8 magic bytes, a uint64 little-endian header
+length, a UTF-8 JSON header whose "shapes" field lists the tensor shapes, then
+raw little-endian float64 payloads in that order. Every writer goes through
+atomic_write so a crashed run never leaves a half-written artifact behind.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -19,9 +20,10 @@ import numpy as np
 
 from .errors import CorruptFile, DataError, FormatVersionMismatch
 
-MAGIC_LDA = b"TTNLDA1\x00"
-MAGIC_NET = b"TTNNET1\x00"
+MAGIC_LDA = b"TTNLDA2\x00"
+MAGIC_NET = b"TTNNET2\x00"
 MAGIC_FEATURES = b"TTNFEA1\x00"
+MAGIC_INDEX = b"TTNIDX1\x00"
 
 
 def ttn_threads():
@@ -59,51 +61,6 @@ def dump_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def write_header(fh, magic, header):
-    body = dump_json(header)
-    fh.write(magic)
-    fh.write(struct.pack("<Q", len(body)))
-    fh.write(body)
-
-
-def read_header(fh, magic):
-    got = fh.read(len(magic))
-    if len(got) < len(magic):
-        raise CorruptFile("file too short to contain a header")
-    if got != magic:
-        raise FormatVersionMismatch(
-            f"expected magic {magic!r}, found {got!r}"
-        )
-    raw_len = fh.read(8)
-    if len(raw_len) < 8:
-        raise CorruptFile("truncated header length")
-    (n,) = struct.unpack("<Q", raw_len)
-    body = fh.read(n)
-    if len(body) < n:
-        raise CorruptFile("truncated JSON header")
-    try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptFile(f"unreadable JSON header: {exc}")
-
-
-def write_array(fh, arr):
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def read_array(fh, shape):
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(count * 8)
-    if len(raw) < count * 8:
-        raise CorruptFile("truncated tensor payload")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-
-def expect_eof(fh):
-    if fh.read(1) != b"":
-        raise CorruptFile("trailing bytes after declared payload")
-
-
 def write_tensor_file(path, magic, header, arrays):
     """One-shot container write: header plus arrays in the given order.
 
@@ -112,20 +69,87 @@ def write_tensor_file(path, magic, header, arrays):
     """
     header = dict(header)
     header["shapes"] = [list(a.shape) for a in arrays]
+    body = dump_json(header)
     with atomic_write(path) as fh:
-        write_header(fh, magic, header)
+        fh.write(magic)
+        fh.write(struct.pack("<Q", len(body)))
+        fh.write(body)
         for arr in arrays:
-            write_array(fh, arr)
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def _finite_float(text):
+    # Parses JSON floats and the NaN/Infinity constants Python's json accepts.
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def _is_shape(value):
+    return isinstance(value, list) and all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in value
+    )
 
 
 def read_tensor_file(path, magic):
+    """Read a container written by write_tensor_file: (header dict, arrays).
+
+    This is the only parser of container bytes. Every declared length is
+    checked against the bytes left in the file before anything is allocated,
+    so a malformed file raises CorruptFile (or FormatVersionMismatch for a
+    foreign magic) and never a MemoryError or numpy error. NaN, Infinity and
+    numbers that overflow a float (1e999) are rejected in the header.
+    """
     with open(path, "rb") as fh:
-        header = read_header(fh, magic)
-        if "shapes" not in header:
-            raise CorruptFile("header lacks tensor shapes")
-        arrays = [read_array(fh, tuple(s)) for s in header["shapes"]]
-        expect_eof(fh)
+        left = os.fstat(fh.fileno()).st_size
+        got = fh.read(len(magic))
+        if len(got) < len(magic):
+            raise CorruptFile("file too short to contain a header")
+        if got != magic:
+            raise FormatVersionMismatch(f"expected magic {magic!r}, found {got!r}")
+        raw_len = fh.read(8)
+        if len(raw_len) < 8:
+            raise CorruptFile("truncated header length")
+        (n,) = struct.unpack("<Q", raw_len)
+        left -= len(magic) + 8
+        if n > left:
+            raise CorruptFile(f"header length {n} exceeds the {left} bytes left in the file")
+        try:
+            header = json.loads(
+                fh.read(n).decode("utf-8"), parse_float=_finite_float, parse_constant=_finite_float
+            )
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, NaN/inf, absurd nesting or ints
+            raise CorruptFile(f"unreadable JSON header: {exc}")
+        if not isinstance(header, dict):
+            raise CorruptFile("header is not a JSON object")
+        shapes = header.get("shapes")
+        if not isinstance(shapes, list) or not all(_is_shape(s) for s in shapes):
+            raise CorruptFile("header shapes must be a list of lists of non-negative ints")
+        counts = [math.prod(s) for s in shapes]
+        left -= n
+        if 8 * sum(counts) != left:
+            raise CorruptFile(
+                f"header declares {8 * sum(counts)} payload bytes but {left} follow it"
+                " (truncated file or trailing bytes)"
+            )
+        payload = bytearray(left)
+        if fh.readinto(payload) != left:
+            raise CorruptFile("file shrank while being read")
+    arrays = []
+    offset = 0
+    for shape, count in zip(shapes, counts):
+        arrays.append(np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape))
+        offset += 8 * count
     return header, arrays
+
+
+def string_list(header, key):
+    """header[key] checked to be a list of strings, else CorruptFile."""
+    value = header.get(key)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise CorruptFile(f"header field {key!r} must be a list of strings")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import corpus as corpus_mod
 from .errors import CorruptFile, EmptyDocument
-from .fileio import (
-    MAGIC_LDA,
-    atomic_write,
-    expect_eof,
-    read_array,
-    read_header,
-    write_array,
-    write_header,
-)
+from .fileio import MAGIC_LDA, read_tensor_file, string_list, write_tensor_file
 
 
 @dataclass(frozen=True)
@@ -355,58 +348,53 @@ def top_words(model, topic, n):
     return [(model.words[w], float(row[w])) for w in order[:n]]
 
 
+def doc_theta(model, doc, seed=0):
+    """Topic distribution of a corpus document: the stored training theta, else
+    fold-in inference over its text. None when the document has neither a
+    stored theta nor an in-vocabulary token."""
+    theta = model.doc_thetas.get(doc.doc_id)
+    if theta is not None:
+        return theta
+    counts = corpus_mod.text_to_counts(doc.text, model.word_index)
+    if not counts:
+        return None
+    return infer(corpus_mod.BowDocument(doc_id=doc.doc_id, counts=counts), model, seed=seed)
+
+
 def save_model(model, path):
-    """Serialize a model: magic, JSON header, raw phi, then theta records."""
+    """Serialize a model as a tensor container: phi (k, V), then thetas
+    (n_docs, k) in the header's sorted doc_ids order."""
     doc_ids = sorted(model.doc_thetas)
+    thetas = np.array([model.doc_thetas[d] for d in doc_ids], dtype=np.float64).reshape(len(doc_ids), model.k)
     header = {
-        "k": model.k,
-        "vocab_size": model.vocab_size,
         "hyper": asdict(model.hyper),
         "words": list(model.words),
         "word_list_hash": model.word_list_hash(),
-        "n_docs": len(doc_ids),
+        "doc_ids": doc_ids,
     }
-    with atomic_write(path) as fh:
-        write_header(fh, MAGIC_LDA, header)
-        write_array(fh, model.phi)
-        for doc_id in doc_ids:
-            raw = doc_id.encode("utf-8")
-            fh.write(len(raw).to_bytes(4, "little"))
-            fh.write(raw)
-            write_array(fh, model.doc_thetas[doc_id])
+    write_tensor_file(path, MAGIC_LDA, header, [model.phi, thetas])
 
 
 def load_model(path):
-    with open(path, "rb") as fh:
-        header = read_header(fh, MAGIC_LDA)
-        try:
-            k = int(header["k"])
-            vocab_size = int(header["vocab_size"])
-            words = tuple(header["words"])
-            hyper = LdaHyperparams(**header["hyper"])
-            n_docs = int(header["n_docs"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptFile(f"{path}: invalid model header: {exc}")
-        if len(words) != vocab_size:
-            raise CorruptFile(f"{path}: header word list length != vocab_size")
-        phi = read_array(fh, (k, vocab_size))
-        doc_thetas = {}
-        for _ in range(n_docs):
-            raw_len = fh.read(4)
-            if len(raw_len) < 4:
-                raise CorruptFile(f"{path}: truncated theta records")
-            id_len = int.from_bytes(raw_len, "little")
-            raw_id = fh.read(id_len)
-            if len(raw_id) < id_len:
-                raise CorruptFile(f"{path}: truncated doc id")
-            doc_thetas[raw_id.decode("utf-8")] = read_array(fh, (k,))
-        expect_eof(fh)
+    header, arrays = read_tensor_file(path, MAGIC_LDA)
+    words = tuple(string_list(header, "words"))
+    doc_ids = string_list(header, "doc_ids")
+    try:
+        hyper = LdaHyperparams(**header["hyper"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptFile(f"{path}: invalid model header: {exc}")
+    if len(arrays) != 2 or arrays[0].ndim != 2 or arrays[0].shape[1] != len(words) or not arrays[0].size:
+        raise CorruptFile(f"{path}: phi is not a nonempty (k, V) matrix over the header word list")
+    phi, thetas = arrays
+    k = phi.shape[0]
+    if thetas.shape != (len(doc_ids), k) or len(set(doc_ids)) != len(doc_ids):
+        raise CorruptFile(f"{path}: thetas do not match the header doc ids")
     model = LdaModel(
-        vocab_size=vocab_size,
+        vocab_size=len(words),
         k=k,
         phi=phi,
         hyper=hyper,
-        doc_thetas=doc_thetas,
+        doc_thetas=dict(zip(doc_ids, thetas)),
         words=words,
     )
     if header.get("word_list_hash") != model.word_list_hash():

@@ -8,6 +8,7 @@ finite differences via gradient_check(). float64 is the reference precision
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +72,8 @@ class NetSpec:
     def __post_init__(self):
         object.__setattr__(self, "in_shape", tuple(self.in_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
-        if len(self.in_shape) != 3:
-            raise ShapeMismatch(f"in_shape must be (C, H, W), got {self.in_shape}")
+        if len(self.in_shape) != 3 or min(self.in_shape) < 1:
+            raise ShapeMismatch(f"in_shape must be a positive (C, H, W), got {self.in_shape}")
         if not self.layers:
             raise ShapeMismatch("a net needs at least one layer")
         names = self.layer_names()
@@ -103,6 +104,8 @@ class NetSpec:
             if isinstance(layer, Conv2d):
                 if len(shape) != 3:
                     raise ShapeMismatch(f"conv2d needs a (C, H, W) input, got {shape}")
+                if min(layer.out_channels, layer.kernel, layer.stride) < 1 or layer.pad < 0:
+                    raise ShapeMismatch(f"conv2d sizes must be positive (pad nonnegative): {layer}")
                 c, h, w = shape
                 oh = (h + 2 * layer.pad - layer.kernel) // layer.stride + 1
                 ow = (w + 2 * layer.pad - layer.kernel) // layer.stride + 1
@@ -112,6 +115,8 @@ class NetSpec:
             elif isinstance(layer, MaxPool2d):
                 if len(shape) != 3:
                     raise ShapeMismatch(f"maxpool2d needs a (C, H, W) input, got {shape}")
+                if layer.window < 1 or layer.stride < 0:
+                    raise ShapeMismatch(f"maxpool2d window must be positive, stride nonnegative: {layer}")
                 c, h, w = shape
                 oh = (h - layer.window) // layer.step + 1
                 ow = (w - layer.window) // layer.step + 1
@@ -123,6 +128,8 @@ class NetSpec:
             elif isinstance(layer, Dense):
                 if len(shape) != 1:
                     raise ShapeMismatch(f"dense needs a flat input, got {shape} (add flatten)")
+                if layer.out_dim < 1:
+                    raise ShapeMismatch(f"dense out_dim must be positive: {layer}")
                 shape = (layer.out_dim,)
             elif isinstance(layer, Relu):
                 pass
@@ -240,40 +247,38 @@ def learning_rate(cfg, iteration):
     return cfg.base_lr * cfg.lr_decay ** (iteration // cfg.lr_step)
 
 
+def param_shapes(spec):
+    """Per layer, (weight shape, bias shape) for conv and dense layers, else None."""
+    shapes = []
+    for layer, (c, *_) in zip(spec.layers, [spec.in_shape] + spec.shapes()[:-1]):
+        if isinstance(layer, Conv2d):
+            shapes.append(((layer.out_channels, c, layer.kernel, layer.kernel), (layer.out_channels,)))
+        elif isinstance(layer, Dense):
+            shapes.append(((layer.out_dim, c), (layer.out_dim,)))
+        else:
+            shapes.append(None)
+    return shapes
+
+
 def init_params(spec, seed, dtype=np.float64):
     """He-style fan-in scaled uniform weights, zero biases, zero momentum.
 
     Weights are drawn from U(-sqrt(6/fan_in), sqrt(6/fan_in)), which has
-    standard deviation sqrt(2/fan_in). Layers are visited in declaration
+    standard deviation sqrt(2/fan_in), where fan_in is the product of the
+    weight shape past its first axis. Layers are visited in declaration
     order with a single seeded generator, so a seed pins every tensor.
     """
     rng = np.random.default_rng(seed)
     params = []
-    shape = spec.in_shape
-    for layer, out_shape in zip(spec.layers, spec.shapes()):
-        if isinstance(layer, Conv2d):
-            fan_in = shape[0] * layer.kernel * layer.kernel
-            limit = np.sqrt(6.0 / fan_in)
-            w = rng.uniform(-limit, limit, size=(layer.out_channels, shape[0], layer.kernel, layer.kernel))
-            b = np.zeros(layer.out_channels)
-            params.append(
-                LayerParams(
-                    w.astype(dtype), b.astype(dtype), np.zeros_like(w, dtype=dtype), np.zeros_like(b, dtype=dtype)
-                )
-            )
-        elif isinstance(layer, Dense):
-            fan_in = shape[0]
-            limit = np.sqrt(6.0 / fan_in)
-            w = rng.uniform(-limit, limit, size=(layer.out_dim, fan_in))
-            b = np.zeros(layer.out_dim)
-            params.append(
-                LayerParams(
-                    w.astype(dtype), b.astype(dtype), np.zeros_like(w, dtype=dtype), np.zeros_like(b, dtype=dtype)
-                )
-            )
-        else:
+    for shapes in param_shapes(spec):
+        if shapes is None:
             params.append(None)
-        shape = out_shape
+            continue
+        w_shape, b_shape = shapes
+        limit = np.sqrt(6.0 / math.prod(w_shape[1:]))
+        w = rng.uniform(-limit, limit, size=w_shape).astype(dtype)
+        b = np.zeros(b_shape, dtype=dtype)
+        params.append(LayerParams(w, b, np.zeros_like(w), np.zeros_like(b)))
     return params
 
 
@@ -330,12 +335,13 @@ def _conv_backward(grad, layer, w, cache):
     g_flat = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(layer.out_channels, -1)
     dw = (g_flat @ cols.reshape(-1, cols.shape[2])).reshape(w.shape)
     db = grad.sum(axis=(0, 2, 3))
-    dcols = g.transpose(0, 2, 1) @ w_flat
-    # Scatter patches back onto the padded input (col2im).
-    dx = np.zeros(padded_shape, dtype=grad.dtype)
+    # Scatter patches back onto the padded input (col2im). The patch
+    # gradients come out of the GEMM as contiguous (B, C, k, k, OH, OW), so
+    # each strided add below reads whole output rows.
     k = layer.kernel
     s = layer.stride
-    dpatches = dcols.reshape(b, oh, ow, padded_shape[1], k, k).transpose(0, 3, 4, 5, 1, 2)
+    dpatches = (w_flat.T @ g).reshape(b, padded_shape[1], k, k, oh, ow)
+    dx = np.zeros(padded_shape, dtype=grad.dtype)
     for i in range(k):
         for j in range(k):
             dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += dpatches[:, :, i, j]
@@ -357,13 +363,13 @@ def _pool_forward(x, layer):
 
 def _pool_backward(grad, layer, cache):
     x_shape, arg, oh, ow = cache
-    b, c = x_shape[:2]
     w, s = layer.window, layer.step
     dx = np.zeros(x_shape, dtype=grad.dtype)
-    bi, ci, oi, oj = np.indices((b, c, oh, ow))
-    rows = oi * s + arg // w
-    cols = oj * s + arg % w
-    np.add.at(dx, (bi, ci, rows, cols), grad)
+    # For one window offset every output maps to a distinct input, so the
+    # strided add is safe even when windows overlap.
+    for di in range(w):
+        for dj in range(w):
+            dx[:, :, di : di + s * oh : s, dj : dj + s * ow : s] += np.where(arg == di * w + dj, grad, 0.0)
     return dx
 
 

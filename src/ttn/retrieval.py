@@ -8,7 +8,6 @@ coordinates finite without changing the ranking of well-separated entries.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .errors import (
     EmptyDocument,
     EmptyModality,
 )
-from .fileio import atomic_write
+from .fileio import MAGIC_INDEX, read_tensor_file, string_list, write_tensor_file
 
 MODALITIES = ("text", "image")
 
@@ -164,50 +163,40 @@ def feature_nn(db_features, query_vector, metric="cosine", top_n=10):
 
 
 def save_index(index, path):
-    """JSON Lines: one {"id", "modality", "embedding", "payload_ref"} per entry."""
-    with atomic_write(path, "w") as fh:
-        fh.write(json.dumps({"epsilon": index.epsilon}, sort_keys=True) + "\n")
-        for entry in index.entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": entry.item_id,
-                        "modality": entry.modality,
-                        "embedding": entry.embedding.tolist(),
-                        "payload_ref": entry.payload_ref,
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    """Tensor container: ids, modalities and payload refs in the header, the
+    (N, k) embedding matrix as the one tensor."""
+    entries = index.entries
+    header = {
+        "epsilon": index.epsilon,
+        "ids": [e.item_id for e in entries],
+        "modalities": [e.modality for e in entries],
+        "payload_refs": [e.payload_ref for e in entries],
+    }
+    write_tensor_file(path, MAGIC_INDEX, header, [np.stack([e.embedding for e in entries])])
 
 
 def load_index(path):
-    entries = []
-    epsilon = 1e-10
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorruptFile(f"{path}:{lineno}: invalid JSON: {exc}")
-            if lineno == 1 and "epsilon" in obj and "id" not in obj:
-                epsilon = float(obj["epsilon"])
-                continue
-            try:
-                entries.append(
-                    IndexEntry(
-                        item_id=str(obj["id"]),
-                        modality=str(obj["modality"]),
-                        embedding=np.asarray(obj["embedding"], dtype=np.float64),
-                        payload_ref=str(obj.get("payload_ref", "")),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorruptFile(f"{path}:{lineno}: invalid entry: {exc}")
+    header, arrays = read_tensor_file(path, MAGIC_INDEX)
+    ids = string_list(header, "ids")
+    modalities = string_list(header, "modalities")
+    payload_refs = string_list(header, "payload_refs")
+    try:
+        epsilon = float(header["epsilon"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CorruptFile(f"{path}: invalid index header: {exc}")
+    if epsilon < 0:
+        raise CorruptFile(f"{path}: negative epsilon {epsilon}")
+    if not set(modalities) <= set(MODALITIES):
+        raise CorruptFile(f"{path}: unknown modality in {sorted(set(modalities))}")
+    if len(arrays) != 1 or arrays[0].ndim != 2:
+        raise CorruptFile(f"{path}: an index holds exactly one (N, k) embedding matrix")
+    matrix = arrays[0]
+    if not 0 < matrix.shape[0] == len(ids) == len(modalities) == len(payload_refs):
+        raise CorruptFile(f"{path}: header lists do not match the {matrix.shape[0]} embedding rows")
+    entries = [
+        IndexEntry(item_id=i, modality=m, embedding=row, payload_ref=ref)
+        for i, m, row, ref in zip(ids, modalities, matrix, payload_refs)
+    ]
     return build_index(entries, epsilon=epsilon)
 
 

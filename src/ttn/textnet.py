@@ -17,9 +17,11 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
+from . import lda as lda_mod
 from . import nn
 from .errors import (
     CorruptFile,
@@ -28,17 +30,7 @@ from .errors import (
     NonFiniteLoss,
     ShapeMismatch,
 )
-from .fileio import (
-    MAGIC_NET,
-    atomic_write,
-    decode_image,
-    expect_eof,
-    read_array,
-    read_header,
-    ttn_threads,
-    write_array,
-    write_header,
-)
+from .fileio import MAGIC_NET, decode_image, read_tensor_file, ttn_threads, write_tensor_file
 
 log = logging.getLogger(__name__)
 
@@ -91,23 +83,15 @@ def make_pairs(docs, model, image_root, infer_missing=False, infer_seed=0):
     without a stored theta (unless infer_missing covers them), are skipped
     with a warning; if nothing survives, NoPairs is raised.
     """
-    from . import lda as lda_mod
-    from . import corpus as corpus_mod
-
     jobs = []
     for doc in sorted(docs, key=lambda d: d.doc_id):
-        theta = model.doc_thetas.get(doc.doc_id)
+        if infer_missing:
+            theta = lda_mod.doc_theta(model, doc, seed=infer_seed)
+        else:
+            theta = model.doc_thetas.get(doc.doc_id)
         if theta is None:
-            if infer_missing:
-                counts = corpus_mod.text_to_counts(doc.text, model.word_index)
-                if not counts:
-                    log.warning("doc %s: no in-vocabulary token, skipped", doc.doc_id)
-                    continue
-                bow = corpus_mod.BowDocument(doc_id=doc.doc_id, counts=counts)
-                theta = lda_mod.infer(bow, model, seed=infer_seed)
-            else:
-                log.warning("doc %s: no stored theta, skipped", doc.doc_id)
-                continue
+            log.warning("doc %s: no stored theta and none inferred, skipped", doc.doc_id)
+            continue
         for rel_path in doc.image_paths:
             jobs.append((doc.doc_id, theta, os.path.join(image_root, rel_path)))
 
@@ -377,69 +361,45 @@ def fine_tune(checkpoint, labeled_pairs, n_classes, sgd_cfg, seed, aug_cfg=None,
 
 
 def save_checkpoint(checkpoint, path):
-    """Magic + JSON header + per-layer weight/bias/momentum tensors."""
+    """Tensor container: JSON header, then (weight, bias, weight momentum,
+    bias momentum) of every parameter layer in spec order."""
     header = {
         "spec": checkpoint.spec.to_dict(),
         "iteration": checkpoint.iteration,
         "sgd": asdict(checkpoint.sgd),
         "seed": checkpoint.seed,
         "lda_model_hash": checkpoint.lda_model_hash,
-        "param_layers": [i for i, p in enumerate(checkpoint.params) if p is not None],
     }
-    with atomic_write(path) as fh:
-        write_header(fh, MAGIC_NET, header)
-        for p in checkpoint.params:
-            if p is None:
-                continue
-            for tensor in (p.weight, p.bias, p.weight_momentum, p.bias_momentum):
-                write_array(fh, tensor)
+    arrays = [
+        tensor
+        for p in checkpoint.params
+        if p is not None
+        for tensor in (p.weight, p.bias, p.weight_momentum, p.bias_momentum)
+    ]
+    write_tensor_file(path, MAGIC_NET, header, arrays)
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        header = read_header(fh, MAGIC_NET)
-        try:
-            spec = nn.NetSpec.from_dict(header["spec"])
-            sgd_cfg = nn.SgdConfig(**header["sgd"])
-            iteration = int(header["iteration"])
-            param_layers = set(header["param_layers"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptFile(f"{path}: invalid checkpoint header: {exc}")
-        shapes = _param_shapes(spec)
-        params = []
-        for i, layer_shapes in enumerate(shapes):
-            if layer_shapes is None or i not in param_layers:
-                params.append(None)
-                continue
-            w_shape, b_shape = layer_shapes
-            params.append(
-                nn.LayerParams(
-                    read_array(fh, w_shape),
-                    read_array(fh, b_shape),
-                    read_array(fh, w_shape),
-                    read_array(fh, b_shape),
-                )
-            )
-        expect_eof(fh)
+    header, arrays = read_tensor_file(path, MAGIC_NET)
+    try:
+        spec = nn.NetSpec.from_dict(header["spec"])
+        sgd_cfg = nn.SgdConfig(**header["sgd"])
+        iteration = int(header["iteration"])
+        seed = int(header.get("seed", 0))
+        lda_model_hash = str(header.get("lda_model_hash", ""))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptFile(f"{path}: invalid checkpoint header: {exc}")
+    shapes = nn.param_shapes(spec)
+    expected = [s for layer in shapes if layer is not None for s in layer + layer]
+    if [a.shape for a in arrays] != expected:
+        raise CorruptFile(f"{path}: stored tensors do not match the spec's parameter shapes")
+    tensors = iter(arrays)
+    params = [None if layer is None else nn.LayerParams(*islice(tensors, 4)) for layer in shapes]
     return Checkpoint(
         spec=spec,
         params=params,
         iteration=iteration,
         sgd=sgd_cfg,
-        seed=int(header.get("seed", 0)),
-        lda_model_hash=header.get("lda_model_hash", ""),
+        seed=seed,
+        lda_model_hash=lda_model_hash,
     )
-
-
-def _param_shapes(spec):
-    shapes = []
-    current = spec.in_shape
-    for layer, out_shape in zip(spec.layers, spec.shapes()):
-        if isinstance(layer, nn.Conv2d):
-            shapes.append(((layer.out_channels, current[0], layer.kernel, layer.kernel), (layer.out_channels,)))
-        elif isinstance(layer, nn.Dense):
-            shapes.append(((layer.out_dim, current[0]), (layer.out_dim,)))
-        else:
-            shapes.append(None)
-        current = out_shape
-    return shapes

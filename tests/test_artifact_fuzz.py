@@ -1,0 +1,155 @@
+"""Every artifact loader fails only with DataError on damaged container files.
+
+One valid file of each kind (topic model, checkpoint, retrieval index,
+features) is truncated, bit-flipped and extended; loading the result must
+either succeed or raise a DataError subclass, never anything else.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ttn import evaluate, lda, nn, retrieval, textnet
+from ttn.errors import CorruptFile, DataError, FormatVersionMismatch
+
+
+def _model():
+    rng = np.random.default_rng(0)
+    words = ("aaa", "bbb", "ccc", "ddd")
+    return lda.LdaModel(
+        vocab_size=4, k=2, phi=rng.dirichlet(np.ones(4), size=2),
+        hyper=lda.LdaHyperparams(k=2, n_iters=4, burn_in=1, seed=3),
+        doc_thetas={f"doc{i}": rng.dirichlet(np.ones(2)) for i in range(3)}, words=words,
+    )
+
+
+def _checkpoint():
+    spec = nn.NetSpec(
+        in_shape=(1, 4, 4),
+        layers=(nn.Conv2d(2, 3, pad=1), nn.Relu(), nn.MaxPool2d(2), nn.Flatten(), nn.Dense(2)),
+    )
+    return textnet.Checkpoint(
+        spec=spec, params=nn.init_params(spec, 0), iteration=7, sgd=nn.SgdConfig(), lda_model_hash="ab12",
+    )
+
+
+def _index():
+    rng = np.random.default_rng(1)
+    return retrieval.build_index([
+        retrieval.IndexEntry(f"item{i}", ("text", "image")[i % 2], rng.dirichlet(np.ones(3)), f"ref{i}")
+        for i in range(4)
+    ])
+
+
+KINDS = {
+    "model": (lambda path: lda.save_model(_model(), path), lda.load_model),
+    "checkpoint": (lambda path: textnet.save_checkpoint(_checkpoint(), path), textnet.load_checkpoint),
+    "index": (lambda path: retrieval.save_index(_index(), path), retrieval.load_index),
+    "features": (
+        lambda path: evaluate.save_features([(f"f{i}", np.arange(3.0) + i) for i in range(3)], path, "fc7"),
+        evaluate.load_features,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("artifacts")
+    files = {}
+    for kind, (save, _) in KINDS.items():
+        path = str(root / kind)
+        save(path)
+        with open(path, "rb") as fh:
+            files[kind] = fh.read()
+    return str(root), files
+
+
+def _header_end(raw):
+    return 16 + int.from_bytes(raw[8:16], "little")
+
+
+# Each mutation is (op, position, value). Positions are taken modulo the
+# current length; flips land in the header half of the time, since that is
+# where structure lives (payload flips only change float values).
+mutations = st.lists(
+    st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 2**16), st.just(0)),
+        st.tuples(st.just("flip_header"), st.integers(0, 2**16), st.integers(0, 7)),
+        st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(0, 7)),
+        st.tuples(st.just("append"), st.integers(1, 16), st.integers(0, 255)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(raw, ops):
+    data = bytearray(raw)
+    header_end = _header_end(raw)
+    for op, pos, value in ops:
+        if op == "truncate":
+            del data[pos % (len(data) + 1):]
+        elif op == "append":
+            data += bytes([value]) * pos
+        elif data:
+            span = min(header_end, len(data)) if op == "flip_header" else len(data)
+            data[pos % span] ^= 1 << value
+    return bytes(data)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(ops=mutations)
+def test_damaged_artifact_raises_only_data_error(valid_files, kind, ops):
+    root, files = valid_files
+    path = os.path.join(root, f"mutant_{kind}")
+    with open(path, "wb") as fh:
+        fh.write(_mutate(files[kind], ops))
+    try:
+        KINDS[kind][1](path)
+    except DataError:
+        pass
+
+
+@pytest.mark.parametrize("kind, old_magic", [("model", b"TTNLDA1\x00"), ("checkpoint", b"TTNNET1\x00")])
+def test_previous_format_version_rejected(valid_files, kind, old_magic):
+    root, files = valid_files
+    path = os.path.join(root, f"old_{kind}")
+    with open(path, "wb") as fh:
+        fh.write(old_magic + files[kind][8:])
+    with pytest.raises(FormatVersionMismatch):
+        KINDS[kind][1](path)
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("checkpoint", b'"iteration":7', b'"iteration":1e999'),
+        ("index", b'"epsilon":1e-10', b'"epsilon":NaN'),
+        ("index", b'"epsilon":1e-10', b'"epsilon":' + b"9" * 400),
+        ("index", b'"epsilon":1e-10', b'"epsilon":-1.0'),
+    ],
+    ids=["iteration-overflow", "nan-epsilon", "int-epsilon-overflow", "negative-epsilon"],
+)
+def test_out_of_range_header_numbers_rejected(valid_files, kind, field, value):
+    root, files = valid_files
+    raw = files[kind]
+    header = raw[16:_header_end(raw)]
+    assert field in header
+    header = header.replace(field, value)
+    path = os.path.join(root, f"numbers_{kind}")
+    with open(path, "wb") as fh:
+        fh.write(raw[:8] + len(header).to_bytes(8, "little") + header + raw[_header_end(raw):])
+    with pytest.raises(CorruptFile):
+        KINDS[kind][1](path)
+
+
+def test_valid_files_load(valid_files):
+    root, _ = valid_files
+    for kind, (_, load) in KINDS.items():
+        load(os.path.join(root, kind))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ttn.cli import main
+from ttn.fileio import MAGIC_FEATURES, MAGIC_LDA
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ def workspace(tmp_path_factory):
         "vocab": os.path.join(root, "vocab.json"),
         "model": os.path.join(root, "model.lda"),
         "netdir": os.path.join(root, "net"),
-        "index": os.path.join(root, "index.jsonl"),
+        "index": os.path.join(root, "index.bin"),
         "features": os.path.join(root, "feats.bin"),
     }
     assert main([
@@ -221,6 +222,64 @@ def test_eval_map_rejects_bad_header(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     scores.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     assert main(["eval", "map", "--scores", str(scores)]) == 3
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["q1,a\n", "q1,a,high,1\n", "q1,a,0.5,yes\n"],
+    ids=["short-row", "non-numeric-score", "non-numeric-relevant"],
+)
+def test_eval_map_rejects_bad_rows(tmp_path, capsys, rows):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("query_id,item_id,score,relevant\n" + rows, encoding="utf-8")
+    assert main(["eval", "map", "--scores", str(scores)]) == 3
+    assert "DataError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [("doc000\n", "CorruptFile"), ("doc000,0,1\n", "DataError")],
+    ids=["no-class", "two-classes"],
+)
+def test_eval_sweep_rejects_bad_label_rows(workspace, tmp_path, capsys, row, error):
+    labels = tmp_path / "labels.csv"
+    with open(os.path.join(workspace["data"], "labels.csv"), encoding="utf-8") as fh:
+        labels.write_text(row + fh.read(), encoding="utf-8")
+    assert main([
+        "eval", "sweep", workspace["corpus"], "--ks", "2", "--labels", str(labels), "--iters", "2",
+    ]) == 3
+    assert error in capsys.readouterr().err
+
+
+def test_index_build_rejects_checkpoint_of_another_model(workspace, tmp_path, capsys):
+    other = str(tmp_path / "other.lda")
+    assert main([
+        "lda", "train", workspace["corpus"], workspace["vocab"], "-o", other,
+        "-k", "2", "--alpha", "0.1", "--iters", "5", "--burn-in", "2", "--seed", "1",
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "index", "build", workspace["corpus"], "-o", str(tmp_path / "index.bin"),
+        "--lda", other, "--ckpt", workspace["ckpt"],
+    ]) == 3
+    assert "different topic model" in capsys.readouterr().err
+    assert not (tmp_path / "index.bin").exists()
+
+
+def test_malformed_containers_exit_3(workspace, tmp_path, capsys):
+    def container(magic, header, declared_len=None):
+        n = len(header) if declared_len is None else declared_len
+        path = tmp_path / f"c{len(list(tmp_path.iterdir()))}.bin"
+        path.write_bytes(magic + n.to_bytes(8, "little") + header)
+        return str(path)
+
+    labels = os.path.join(workspace["data"], "image_labels.csv")
+    assert main(["lda", "topics", container(MAGIC_LDA, b"{}", declared_len=2**62)]) == 3
+    huge = container(MAGIC_FEATURES, b'{"item_ids":["a"],"layer":"","shapes":[[1099511627776,1048576]]}')
+    assert main(["eval", "svm", "--features", huge, "--labels", labels]) == 3
+    stringy = container(MAGIC_FEATURES, b'{"item_ids":["a"],"layer":"","shapes":"abc"}')
+    assert main(["eval", "svm", "--features", stringy, "--labels", labels]) == 3
+    assert capsys.readouterr().err.count("CorruptFile") == 3
 
 
 def test_eval_sweep_selects_planted_topic_count(workspace, capsys):

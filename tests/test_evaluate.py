@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttn import evaluate as E
@@ -175,14 +175,17 @@ def test_ap_matches_brute_force_oracle(pairs):
 @given(
     st.lists(st.tuples(st.floats(min_value=0.01, max_value=1), st.booleans()), min_size=2, max_size=25)
 )
+@example([(0.9999999999999999, False), (1.0, True)])
 def test_ap_invariant_under_monotone_transform(pairs):
     scores = np.array([s for s, _ in pairs])
     relevance = np.array([r for _, r in pairs])
     if not relevance.any():
         return
     base = E.average_precision(scores, relevance)
-    squashed = E.average_precision(np.log(scores) * 3.0 + 7.0, relevance)
-    assert base == pytest.approx(squashed, rel=1e-12)
+    # Scaling by a power of two is exact in float64, so it keeps every
+    # strict order and every tie; log(s)*3+7 merges neighbouring scores.
+    scaled = E.average_precision(scores * 2.0**3, relevance)
+    assert base == pytest.approx(scaled, rel=1e-12)
 
 
 def test_mean_ap():

@@ -58,6 +58,58 @@ def test_header_rejects_bad_json(tmp_path):
         F.read_tensor_file(str(path), F.MAGIC_FEATURES)
 
 
+def _raw_container(magic, header_body, payload=b"", declared_len=None):
+    """Container bytes assembled by hand, so tests can lie in any field."""
+    n = len(header_body) if declared_len is None else declared_len
+    return magic + n.to_bytes(8, "little") + header_body + payload
+
+
+def test_tensor_file_empty_array_roundtrip(tmp_path):
+    path = str(tmp_path / "t.bin")
+    F.write_tensor_file(path, F.MAGIC_FEATURES, {}, [np.zeros((0, 4)), np.array(2.5)])
+    _, (empty, scalar) = F.read_tensor_file(path, F.MAGIC_FEATURES)
+    assert empty.shape == (0, 4)
+    assert scalar.shape == () and scalar == 2.5
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # a 2**62 header length must fail before any allocation (no MemoryError)
+        _raw_container(F.MAGIC_FEATURES, b"{}", declared_len=2**62),
+        # a declared payload far beyond the file size (no OverflowError)
+        _raw_container(F.MAGIC_FEATURES, b'{"item_ids":["a"],"shapes":[[1099511627776,1048576]]}'),
+        # shapes given as a string (no numpy UFuncNoLoopError)
+        _raw_container(F.MAGIC_FEATURES, b'{"item_ids":["a"],"shapes":"abc"}'),
+        _raw_container(F.MAGIC_FEATURES, b'{"shapes":[[-1,2]]}', b"\x00" * 16),
+        _raw_container(F.MAGIC_FEATURES, b'{"shapes":[[true]]}', b"\x00" * 8),
+        _raw_container(F.MAGIC_FEATURES, b'{"shapes":[2]}', b"\x00" * 16),
+        _raw_container(F.MAGIC_FEATURES, b"{}"),
+        _raw_container(F.MAGIC_FEATURES, b'[{"shapes":[]}]'),
+        _raw_container(F.MAGIC_FEATURES, b'"shapes"'),
+        _raw_container(F.MAGIC_FEATURES, b"\xff\xfe"),
+        _raw_container(F.MAGIC_FEATURES, b'{"x":NaN,"shapes":[]}'),
+        _raw_container(F.MAGIC_FEATURES, b'{"x":-Infinity,"shapes":[]}'),
+        _raw_container(F.MAGIC_FEATURES, b'{"x":1e999,"shapes":[]}'),
+    ],
+    ids=["huge-header-len", "huge-shape", "string-shapes", "negative-dim", "bool-dim",
+         "flat-shapes", "no-shapes", "list-header", "string-header", "not-utf8",
+         "nan", "infinity", "float-overflow"],
+)
+def test_reader_rejects_malformed_headers(tmp_path, raw):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(raw)
+    with pytest.raises(CorruptFile):
+        F.read_tensor_file(str(path), F.MAGIC_FEATURES)
+
+
+def test_string_list_checks_type():
+    assert F.string_list({"ids": ["a", "b"]}, "ids") == ["a", "b"]
+    for header in ({}, {"ids": "ab"}, {"ids": ["a", 1]}):
+        with pytest.raises(CorruptFile):
+            F.string_list(header, "ids")
+
+
 # --------------------------------------------------------------------- atomic
 
 def test_atomic_write_success(tmp_path):

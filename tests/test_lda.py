@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttn import lda as L
-from ttn.corpus import BowDocument
+from ttn.corpus import BowDocument, RawDocument
 from ttn.errors import CorruptFile, EmptyDocument, FormatVersionMismatch
 
 WORDS8 = tuple("abcdefgh"[i] * 3 for i in range(8))  # aaa, bbb, ...
@@ -227,6 +227,30 @@ def test_model_roundtrip(tmp_path, planted_model):
     for doc_id, theta in model.doc_thetas.items():
         assert np.array_equal(loaded.doc_thetas[doc_id], theta)
     assert loaded.content_hash() == model.content_hash()
+
+
+def test_model_roundtrip_without_docs(tmp_path, planted_model):
+    _, model = planted_model
+    bare = L.LdaModel(
+        vocab_size=model.vocab_size, k=model.k, phi=model.phi, hyper=model.hyper,
+        doc_thetas={}, words=model.words,
+    )
+    path = str(tmp_path / "bare.lda")
+    L.save_model(bare, path)
+    loaded = L.load_model(path)
+    assert loaded.doc_thetas == {}
+    assert loaded.phi.tobytes() == model.phi.tobytes()
+    assert loaded.content_hash() == model.content_hash()
+
+
+def test_doc_theta_stored_inferred_or_none(planted_model):
+    _, model = planted_model
+    stored = RawDocument(doc_id="doc000", text="ignored for a stored doc")
+    assert L.doc_theta(model, stored) is model.doc_thetas["doc000"]
+    unseen = RawDocument(doc_id="new", text="aaa bbb aaa")
+    bow = BowDocument("new", {0: 2, 1: 1})
+    assert L.doc_theta(model, unseen, seed=4).tobytes() == L.infer(bow, model, seed=4).tobytes()
+    assert L.doc_theta(model, RawDocument(doc_id="oov", text="zzz qqq")) is None
 
 
 def test_model_file_magic(tmp_path, planted_model):

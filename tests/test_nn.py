@@ -76,6 +76,29 @@ def test_pool_overlapping_stride():
     assert np.array_equal(out.reshape(2, 2), [[4.0, 5.0], [7.0, 8.0]])
 
 
+@pytest.mark.parametrize("stride", [0, 3, 1], ids=["tiled", "gapped", "overlapping"])
+def test_pool_backward_routes_to_first_max(stride):
+    # Ties resolve to the first position in row-major window order, and an
+    # input that wins several overlapping windows collects all their gradients.
+    spec = nn.NetSpec(in_shape=(1, 5, 5), layers=(nn.MaxPool2d(2, stride=stride), nn.Flatten()))
+    x = np.zeros((1, 1, 5, 5))
+    x[0, 0, 1, 1] = 1.0
+    out, cache = nn.forward(spec, [None, None], x)
+    grad = np.arange(1.0, out.size + 1).reshape(out.shape)
+    grad[0, -1] = -0.0
+    _, layer_caches = cache
+    dx = nn._pool_backward(grad.reshape(layer_caches[0][0].shape), spec.layers[0], layer_caches[0][1])
+    want = np.zeros((5, 5))
+    step = spec.layers[0].step
+    n_out = (5 - 2) // step + 1
+    for oi in range(n_out):
+        for oj in range(n_out):
+            window = x[0, 0, oi * step : oi * step + 2, oj * step : oj * step + 2]
+            di, dj = divmod(int(window.argmax()), 2)
+            want[oi * step + di, oj * step + dj] += grad[0, oi * n_out + oj]
+    assert dx[0, 0].tobytes() == want.tobytes()
+
+
 def test_relu_and_dense():
     spec = nn.NetSpec(in_shape=(1, 1, 2), layers=(nn.Flatten(), nn.Relu(), nn.Dense(1)))
     params = _manual_params(spec, [(np.array([[2.0, -1.0]]), np.array([0.5]))])
@@ -94,6 +117,39 @@ def test_forward_rejects_wrong_shape():
 def test_spec_rejects_oversized_kernel():
     with pytest.raises(ShapeMismatch):
         nn.NetSpec(in_shape=(1, 2, 2), layers=(nn.Conv2d(1, 5), nn.Flatten())).shapes()
+
+
+@pytest.mark.parametrize(
+    "in_shape, layer",
+    [
+        ((1, 4, 4), nn.Conv2d(1, 3, stride=0)),
+        ((1, 4, 4), nn.Conv2d(1, 0)),
+        ((1, 4, 4), nn.Conv2d(0, 3)),
+        ((1, 4, 4), nn.Conv2d(1, 3, pad=-1)),
+        ((1, 4, 4), nn.MaxPool2d(0)),
+        ((1, 4, 4), nn.MaxPool2d(2, stride=-1)),
+        ((0, 4, 4), nn.Relu()),
+        ((1, 4, 4), nn.Dense(0)),
+    ],
+)
+def test_spec_rejects_nonpositive_sizes(in_shape, layer):
+    # A zero stride or window would otherwise divide by zero in shapes().
+    layers = (nn.Flatten(), layer) if isinstance(layer, nn.Dense) else (layer, nn.Flatten())
+    with pytest.raises(ShapeMismatch):
+        nn.NetSpec(in_shape=in_shape, layers=layers)
+
+
+def test_param_shapes_tiny_net():
+    spec = nn.tiny_topic_net(5, in_shape=(3, 16, 16))
+    conv1, conv2, fc1, fc2 = [s for s in nn.param_shapes(spec) if s is not None]
+    assert conv1 == ((16, 3, 3, 3), (16,))
+    assert conv2 == ((32, 16, 3, 3), (32,))
+    assert fc1 == ((128, 32 * 4 * 4), (128,))
+    assert fc2 == ((5, 128), (5,))
+    for shapes, p in zip(nn.param_shapes(spec), nn.init_params(spec, seed=0)):
+        assert (shapes is None) == (p is None)
+        if p is not None:
+            assert (p.weight.shape, p.bias.shape) == shapes
 
 
 def test_layer_outputs_and_aliases():
@@ -356,6 +412,26 @@ def test_init_he_uniform_statistics():
         assert abs(p.weight.std() - expected_std) / expected_std < 0.2
         assert np.array_equal(p.bias, np.zeros_like(p.bias))
         assert np.array_equal(p.weight_momentum, np.zeros_like(p.weight))
+
+
+def test_init_matches_per_layer_reference_draws():
+    # Reference: one generator, layers in order, conv fan_in = C*k*k, dense
+    # fan_in = input width. Checkpoints and training runs depend on these bits.
+    spec = nn.NetSpec(
+        in_shape=(2, 9, 9),
+        layers=(nn.Conv2d(4, 5, stride=2, pad=2), nn.Relu(), nn.Flatten(), nn.Dense(7), nn.Dense(3)),
+    )
+    rng = np.random.default_rng(11)
+    limit = math.sqrt(6.0 / (2 * 5 * 5))
+    conv_w = rng.uniform(-limit, limit, size=(4, 2, 5, 5))
+    limit = math.sqrt(6.0 / (4 * 5 * 5))
+    dense1_w = rng.uniform(-limit, limit, size=(7, 100))
+    limit = math.sqrt(6.0 / 7)
+    dense2_w = rng.uniform(-limit, limit, size=(3, 7))
+    params = nn.init_params(spec, seed=11)
+    weights = [p.weight for p in params if p is not None]
+    for got, want in zip(weights, (conv_w, dense1_w, dense2_w)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_init_deterministic_per_seed():

@@ -293,7 +293,7 @@ def test_feature_nn_rejects_unknown_metric():
 
 def test_index_roundtrip_preserves_rankings(tmp_path):
     index = retrieval.build_index(_entries(), epsilon=1e-8)
-    path = tmp_path / "index.jsonl"
+    path = tmp_path / "index.bin"
     retrieval.save_index(index, str(path))
     loaded = retrieval.load_index(str(path))
     assert loaded.epsilon == index.epsilon
@@ -304,6 +304,23 @@ def test_index_roundtrip_preserves_rankings(tmp_path):
         )
     entry = {e.item_id: e for e in loaded.entries}
     assert entry["img_a"].payload_ref == ""
+
+
+def test_index_roundtrip_bit_exact(tmp_path):
+    rng = np.random.default_rng(3)
+    entries = [
+        retrieval.IndexEntry(f"id{i}", ("text", "image")[i % 2], rng.dirichlet(np.ones(4)), payload_ref=f"ref/{i}")
+        for i in range(5)
+    ]
+    index = retrieval.build_index(entries, epsilon=3e-7)
+    path = str(tmp_path / "index.bin")
+    retrieval.save_index(index, path)
+    loaded = retrieval.load_index(path)
+    assert loaded.epsilon == index.epsilon
+    assert len(loaded.entries) == len(entries)
+    for got, want in zip(loaded.entries, entries):
+        assert (got.item_id, got.modality, got.payload_ref) == (want.item_id, want.modality, want.payload_ref)
+        assert got.embedding.tobytes() == want.embedding.tobytes()
 
 
 def test_format_results_exact():

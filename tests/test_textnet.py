@@ -12,6 +12,7 @@ from ttn import corpus as corpus_mod
 from ttn import lda as lda_mod
 from ttn import nn, textnet
 from ttn.errors import CorruptFile, CropTooLarge, NoPairs, ShapeMismatch, UnknownLayer
+from ttn.fileio import MAGIC_NET, read_tensor_file, write_tensor_file
 
 
 def _toy_pairs(n=12, k=3, size=36, seed=0):
@@ -249,6 +250,18 @@ def test_checkpoint_truncation_detected(tmp_path):
     cut.write_bytes(raw[:-24])
     with pytest.raises(CorruptFile):
         textnet.load_checkpoint(str(cut))
+
+
+def test_checkpoint_tensors_must_match_spec(tmp_path):
+    checkpoint, _ = textnet.train(_toy_pairs(), _toy_spec(), FAST_SGD, AUG32, seed=0)
+    path = str(tmp_path / "net.ckpt")
+    textnet.save_checkpoint(checkpoint, path)
+    header, arrays = read_tensor_file(path, MAGIC_NET)
+    del header["shapes"]
+    for bad_arrays in (arrays[:-1], arrays[:2] + [arrays[3], arrays[2]] + arrays[4:]):
+        write_tensor_file(path, MAGIC_NET, header, bad_arrays)
+        with pytest.raises(CorruptFile):
+            textnet.load_checkpoint(path)
 
 
 def test_intermediate_checkpoints_resume_exactly(tmp_path):
