@@ -299,10 +299,20 @@ def cmd_net_features(args):
 # --------------------------------------------------------------------------- index / query
 
 
+def _required(value, flag, use):
+    if value is None:
+        raise DataError(f"{use} needs {flag}")
+    return value
+
+
 def cmd_index_build(args):
     entries = []
-    model = lda_mod.load_model(args.lda) if args.modality in ("text", "both") else None
-    checkpoint = textnet.load_checkpoint(args.ckpt) if args.modality in ("image", "both") else None
+    use = f"--modality {args.modality}"
+    model = checkpoint = None
+    if args.modality in ("text", "both"):
+        model = lda_mod.load_model(_required(args.lda, "--lda", use))
+    if args.modality in ("image", "both"):
+        checkpoint = textnet.load_checkpoint(_required(args.ckpt, "--ckpt", use))
     if model is not None and checkpoint is not None:
         if checkpoint.lda_model_hash not in ("", model.content_hash()):
             raise DataError(f"checkpoint {args.ckpt} was trained against a different topic model than {args.lda}")
@@ -354,11 +364,11 @@ def cmd_query(args):
     if (args.text is None) == (args.image is None):
         raise DataError("provide exactly one of --text or --image")
     if args.text is not None:
-        model = lda_mod.load_model(args.lda)
+        model = lda_mod.load_model(_required(args.lda, "--lda", "--text"))
         embedding = retrieval.embed_text(args.text, model.word_index, model, seed=args.seed)
         target = args.modality or "image"
     else:
-        checkpoint = textnet.load_checkpoint(args.ckpt)
+        checkpoint = textnet.load_checkpoint(_required(args.ckpt, "--ckpt", "--image"))
         embedding = retrieval.embed_image(decode_image(args.image), checkpoint, n_crops=args.crops)
         target = args.modality or "text"
     results = retrieval.query(

@@ -181,14 +181,18 @@ def read_ppm(path):
     with open(path, "rb") as fh:
         if fh.read(2) != b"P6":
             raise FormatVersionMismatch(f"{path}: not a binary PPM (P6) file")
-        width = int(_read_ppm_token(fh))
-        height = int(_read_ppm_token(fh))
-        maxval = int(_read_ppm_token(fh))
+        try:
+            width, height, maxval = (int(_read_ppm_token(fh)) for _ in range(3))
+        except ValueError:
+            raise CorruptFile(f"{path}: PPM width, height and maxval must be integers")
         if maxval != 255:
             raise CorruptFile(f"{path}: only maxval 255 is supported, got {maxval}")
-        raw = fh.read(width * height * 3)
-        if len(raw) < width * height * 3:
+        if width < 1 or height < 1:
+            raise CorruptFile(f"{path}: PPM size {width}x{height} is not positive")
+        # checked before reading, so a huge declared size cannot reach the allocator
+        if width * height * 3 > os.fstat(fh.fileno()).st_size - fh.tell():
             raise CorruptFile(f"{path}: truncated pixel data")
+        raw = fh.read(width * height * 3)
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
     return pixels.transpose(2, 0, 1).astype(np.float64) / 255.0
 

@@ -164,18 +164,26 @@ class NetSpec:
 
     @classmethod
     def from_dict(cls, obj):
-        layers = []
-        for entry in obj["layers"]:
-            entry = dict(entry)
-            tag = entry.pop("type")
-            if tag not in _TAG_TYPES:
-                raise ShapeMismatch(f"unknown layer type {tag!r}")
-            layers.append(_TAG_TYPES[tag](**entry))
-        return cls(
-            in_shape=tuple(obj["in_shape"]),
-            layers=tuple(layers),
-            aliases=dict(obj.get("aliases", {})),
-        )
+        """The spec to_dict wrote; a malformed one raises ShapeMismatch."""
+        try:
+            layers = []
+            for entry in obj["layers"]:
+                entry = dict(entry)
+                tag = entry.pop("type")
+                if tag not in _TAG_TYPES:
+                    raise ShapeMismatch(f"unknown layer type {tag!r}")
+                layers.append(_TAG_TYPES[tag](**entry))
+            in_shape = tuple(obj["in_shape"])
+            sizes = [v for layer in layers for k, v in layer.__dict__.items() if k != "name"]
+            if not all(type(v) is int for v in sizes + list(in_shape)):
+                raise ShapeMismatch("malformed net spec: sizes must be integers")
+            return cls(
+                in_shape=in_shape,
+                layers=tuple(layers),
+                aliases=dict(obj.get("aliases", {})),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ShapeMismatch(f"malformed net spec: {type(exc).__name__}: {exc}")
 
 
 def tiny_topic_net(k, in_shape=(3, 32, 32)):

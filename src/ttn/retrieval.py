@@ -68,18 +68,30 @@ class IndexEntry:
 
 @dataclass(frozen=True)
 class RetrievalIndex:
+    """Validated entries plus what a query scans, computed once: the (N, k)
+    embedding matrix (row i is entries[i]) and, per modality, its row numbers
+    and item ids."""
+
     entries: tuple
-    epsilon: float = 1e-10
+    epsilon: float
+    matrix: np.ndarray
+    rows: dict  # modality -> (row numbers, item ids)
 
 
 def build_index(entries, epsilon=1e-10):
     """Validate entries (unique ids, one shared dimension) into an index."""
-    entries = tuple(entries)
+    return _index(tuple(entries), epsilon)
+
+
+def _index(entries, epsilon, matrix=None):
+    """The index of validated entries; matrix, if given, already holds their
+    embeddings as rows and is used as it is."""
     if not entries:
         raise ValueError("entries must be nonempty")
     seen = set()
     dim = entries[0].embedding.shape
-    for entry in entries:
+    rows = {modality: ([], []) for modality in MODALITIES}
+    for number, entry in enumerate(entries):
         if entry.item_id in seen:
             raise DuplicateId(f"duplicate item id {entry.item_id!r}")
         seen.add(entry.item_id)
@@ -87,7 +99,43 @@ def build_index(entries, epsilon=1e-10):
             raise DimensionMismatch(
                 f"entry {entry.item_id!r} has dim {entry.embedding.shape}, expected {dim}"
             )
-    return RetrievalIndex(entries=entries, epsilon=epsilon)
+        numbers, ids = rows[entry.modality]
+        numbers.append(number)
+        ids.append(entry.item_id)
+    if matrix is None:
+        matrix = np.array([e.embedding for e in entries])
+    rows = {modality: (np.array(numbers, dtype=np.intp), ids) for modality, (numbers, ids) in rows.items()}
+    return RetrievalIndex(entries=entries, epsilon=epsilon, matrix=matrix, rows=rows)
+
+
+# Rows ranked per pass. Two (rows, k) buffers per pass stay small enough to be
+# reused from the heap; at 10k rows every pass paid for fresh pages.
+_BLOCK_ROWS = 1024
+
+
+def _divergences(p, matrix, numbers, epsilon, symmetric):
+    """kl_divergence (or symmetric_kl) of p against matrix[numbers], bit for
+    bit: the same smoothing and elementwise terms, each row summed on its own."""
+    ps = _smooth(p, epsilon)
+    d = np.empty(len(numbers))
+    for start in range(0, len(numbers), _BLOCK_ROWS):
+        qs = matrix[numbers[start:start + _BLOCK_ROWS]]  # a fresh C-ordered copy
+        qs += epsilon
+        qs /= 1.0 + p.size * epsilon
+        terms = ps / qs
+        np.log(terms, out=terms)
+        terms *= ps
+        block = terms.sum(axis=1)
+        # where(x > 0, x, 0) is max(0.0, x): NaN and -0.0 clamp to 0.0 as there
+        block = np.where(block > 0.0, block, 0.0)
+        if symmetric:
+            np.divide(qs, ps, out=terms)
+            np.log(terms, out=terms)
+            terms *= qs
+            reverse = terms.sum(axis=1)
+            block += np.where(reverse > 0.0, reverse, 0.0)
+        d[start:start + len(block)] = block
+    return d
 
 
 def query(index, query_embedding, target_modality, top_n=10, symmetric=False):
@@ -100,14 +148,21 @@ def query(index, query_embedding, target_modality, top_n=10, symmetric=False):
         raise ValueError(f"target_modality must be one of {MODALITIES}")
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
-    candidates = [e for e in index.entries if e.modality == target_modality]
-    if not candidates:
+    numbers, ids = index.rows[target_modality]
+    if not ids:
         raise EmptyModality(f"index holds no {target_modality!r} entries")
-    divergence = symmetric_kl if symmetric else kl_divergence
-    scored = sorted(
-        ((divergence(query_embedding, e.embedding, index.epsilon), e.item_id) for e in candidates),
-    )
-    return [(item_id, d) for d, item_id in scored[:top_n]]
+    p = np.asarray(query_embedding, dtype=np.float64)
+    if p.ndim != 1 or p.shape != index.matrix.shape[1:]:
+        raise DimensionMismatch(
+            f"query has shape {p.shape}, index entries {index.matrix.shape[1:]}"
+        )
+    d = _divergences(p, index.matrix, numbers, index.epsilon, symmetric)
+    n = min(top_n, len(ids))
+    # every row at or below the n-th smallest divergence, so ties at the edge
+    # are settled by item_id below
+    keep = np.flatnonzero(d <= np.partition(d, n - 1)[n - 1])
+    scored = sorted((float(d[i]), ids[i]) for i in keep)
+    return [(item_id, dv) for dv, item_id in scored[:n]]
 
 
 def embed_text(text, vocab, model, seed=0):
@@ -172,7 +227,7 @@ def save_index(index, path):
         "modalities": [e.modality for e in entries],
         "payload_refs": [e.payload_ref for e in entries],
     }
-    write_tensor_file(path, MAGIC_INDEX, header, [np.stack([e.embedding for e in entries])])
+    write_tensor_file(path, MAGIC_INDEX, header, [index.matrix])
 
 
 def load_index(path):
@@ -197,7 +252,7 @@ def load_index(path):
         IndexEntry(item_id=i, modality=m, embedding=row, payload_ref=ref)
         for i, m, row, ref in zip(ids, modalities, matrix, payload_refs)
     ]
-    return build_index(entries, epsilon=epsilon)
+    return _index(tuple(entries), epsilon, matrix)
 
 
 def format_results(results):

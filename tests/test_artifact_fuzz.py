@@ -1,8 +1,8 @@
 """Every artifact loader fails only with DataError on damaged container files.
 
 One valid file of each kind (topic model, checkpoint, retrieval index,
-features) is truncated, bit-flipped and extended; loading the result must
-either succeed or raise a DataError subclass, never anything else.
+features, PPM image) is truncated, bit-flipped and extended; loading the
+result must either succeed or raise a DataError subclass, never anything else.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttn import evaluate, lda, nn, retrieval, textnet
+from ttn import evaluate, fileio, lda, nn, retrieval, textnet
 from ttn.errors import CorruptFile, DataError, FormatVersionMismatch
 
 
@@ -54,6 +54,10 @@ KINDS = {
         lambda path: evaluate.save_features([(f"f{i}", np.arange(3.0) + i) for i in range(3)], path, "fc7"),
         evaluate.load_features,
     ),
+    "ppm": (
+        lambda path: fileio.write_ppm(path, np.random.default_rng(2).random((3, 4, 5))),
+        fileio.read_ppm,
+    ),
 }
 
 
@@ -70,6 +74,8 @@ def valid_files(tmp_path_factory):
 
 
 def _header_end(raw):
+    if raw.startswith(b"P6"):
+        return raw.index(b"255\n") + 4  # a PPM's text header
     return 16 + int.from_bytes(raw[8:16], "little")
 
 

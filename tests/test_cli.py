@@ -266,6 +266,40 @@ def test_index_build_rejects_checkpoint_of_another_model(workspace, tmp_path, ca
     assert not (tmp_path / "index.bin").exists()
 
 
+@pytest.mark.parametrize(
+    "modality, given, missing",
+    [("both", "--lda", "--ckpt"), ("image", "--lda", "--ckpt"), ("both", "--ckpt", "--lda"), ("text", "--ckpt", "--lda")],
+)
+def test_index_build_names_missing_artifact(workspace, tmp_path, capsys, modality, given, missing):
+    artifact = {"--lda": workspace["model"], "--ckpt": workspace["ckpt"]}[given]
+    out = tmp_path / "index.bin"
+    assert main([
+        "index", "build", workspace["corpus"], "-o", str(out), "--modality", modality, given, artifact,
+    ]) == 3
+    assert f"--modality {modality} needs {missing}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_query_names_missing_artifact(workspace, capsys):
+    assert main(["query", workspace["index"], "--text", "anything"]) == 3
+    assert "--text needs --lda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["{}", '{"layers": 5}', '{"in_shape": [3, 32, 32], "layers": [{"type": "flatten"}, {"type": "dense", "out_dim": 2.5}]}'],
+    ids=["empty", "layers-not-a-list", "float-size"],
+)
+def test_net_train_malformed_spec_exits_3(workspace, tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(spec, encoding="utf-8")
+    assert main([
+        "net", "train", workspace["corpus"], workspace["model"], "-o", str(tmp_path / "net"),
+        "--iters", "1", "--batch-size", "4", "--spec", str(path),
+    ]) == 3
+    assert "ShapeMismatch: malformed net spec" in capsys.readouterr().err
+
+
 def test_malformed_containers_exit_3(workspace, tmp_path, capsys):
     def container(magic, header, declared_len=None):
         n = len(header) if declared_len is None else declared_len

@@ -184,6 +184,18 @@ def test_ppm_rejects_short_body(tmp_path):
         F.read_ppm(str(path))
 
 
+@pytest.mark.parametrize(
+    "header",
+    [b"P6\n2147483648 2147483648\n255\n", b"P6\n0 5\n255\n", b"P6\n3 -1\n255\n", b"P6\n2 x1\n255\n"],
+    ids=["huge", "zero-width", "negative-height", "not-a-number"],
+)
+def test_ppm_rejects_bad_size_before_reading(tmp_path, header):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(header + b"\x00" * 9)
+    with pytest.raises(CorruptFile):
+        F.read_ppm(str(path))
+
+
 def test_decode_image_dispatches_on_extension(tmp_path):
     image = np.zeros((3, 2, 2))
     image[0] = 1.0

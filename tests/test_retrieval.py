@@ -167,6 +167,75 @@ def test_query_direction_is_query_relative_to_entry():
     assert dict(ranked)["spread"] == pytest.approx(expected, rel=1e-12)
 
 
+def _reference_query(entries, query_embedding, target, top_n, symmetric, epsilon):
+    """The ranking spelled out: one kl_divergence/symmetric_kl per entry."""
+    divergence = retrieval.symmetric_kl if symmetric else retrieval.kl_divergence
+    scored = sorted(
+        (divergence(query_embedding, e.embedding, epsilon), e.item_id)
+        for e in entries if e.modality == target
+    )
+    return [(item_id, d) for d, item_id in scored[:top_n]]
+
+
+# Coordinates come from a small pool so that zeros, repeated rows (tied
+# divergences) and exact matches (divergence 0) are common.
+coordinate = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 1e-12, 0.3333333333333333])
+random_index = st.integers(min_value=1, max_value=5).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.lists(coordinate, min_size=k, max_size=k), min_size=1, max_size=4),  # row pool
+        st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from(retrieval.MODALITIES)), min_size=1, max_size=24
+        ),
+        st.permutations(range(24)),  # item ids, so id order differs from insertion order
+        st.lists(coordinate, min_size=k, max_size=k),  # the query
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    random_index,
+    st.sampled_from(retrieval.MODALITIES),
+    st.integers(min_value=1, max_value=30),
+    st.booleans(),
+    st.sampled_from([1e-10, 1e-6, 0.05]),
+)
+def test_query_equals_per_entry_reference(drawn, target, top_n, symmetric, epsilon):
+    pool, picks, names, q = drawn
+    entries = [
+        retrieval.IndexEntry(f"id{names[i]:02d}", modality, pool[row % len(pool)])
+        for i, (row, modality) in enumerate(picks)
+    ]
+    index = retrieval.build_index(entries, epsilon=epsilon)
+    if not any(e.modality == target for e in entries):
+        with pytest.raises(EmptyModality):
+            retrieval.query(index, q, target, top_n=top_n, symmetric=symmetric)
+        return
+    got = retrieval.query(index, q, target, top_n=top_n, symmetric=symmetric)
+    assert got == _reference_query(entries, q, target, top_n, symmetric, epsilon)
+    with pytest.raises(DimensionMismatch):
+        retrieval.query(index, q + [0.5], target, symmetric=symmetric)
+    with pytest.raises(DimensionMismatch):
+        retrieval.query(index, [q], target, symmetric=symmetric)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_query_full_ranking_bit_identical_across_blocks(symmetric):
+    # 2500 candidates of K=40 span several row blocks; the whole ranking,
+    # divergences included, must match the per-entry reference exactly.
+    rng = np.random.default_rng(11)
+    rows = rng.dirichlet(np.full(40, 0.1), size=3000)
+    entries = [
+        retrieval.IndexEntry(f"e{(i * 7919) % 3000:04d}", "image" if i % 6 else "text", row)
+        for i, row in enumerate(rows)
+    ]
+    index = retrieval.build_index(entries)
+    q = rng.dirichlet(np.full(40, 0.1))
+    got = retrieval.query(index, q, "image", top_n=5000, symmetric=symmetric)
+    assert len(got) == 2500
+    assert got == _reference_query(entries, q, "image", 5000, symmetric, index.epsilon)
+
+
 def test_build_index_rejects_duplicates_and_mixed_dims():
     with pytest.raises(DuplicateId):
         retrieval.build_index(
