@@ -28,8 +28,8 @@ from . import nn
 from . import retrieval
 from . import synth
 from . import textnet
-from .errors import DataError, EmptyDocument, NumericError, TtnError
-from .fileio import atomic_write, decode_image
+from .errors import CorruptFile, DataError, EmptyDocument, NumericError, TtnError
+from .fileio import atomic_write, decode_image, parse_json, read_text
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 
 log = logging.getLogger("ttn")
@@ -188,15 +188,15 @@ def _resolve_spec(spec_arg, k, crop_size):
         return nn.tiny_topic_net(k, in_shape=(3, crop_size, crop_size))
     if isinstance(spec_arg, dict):
         return nn.NetSpec.from_dict(spec_arg)
-    with open(spec_arg, encoding="utf-8") as fh:
-        return nn.NetSpec.from_dict(json.load(fh))
+    return nn.NetSpec.from_dict(parse_json(read_text(spec_arg), spec_arg))
 
 
 def _load_run_config(args):
     file_cfg = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        file_cfg = parse_json(read_text(args.config), args.config)
+        if not isinstance(file_cfg, dict):
+            raise CorruptFile(f"{args.config}: run config is not a JSON object")
 
     def pick(flag_value, key, default):
         if flag_value is not None:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import CorruptFile, DuplicateId, EmptyVocabulary
-from .fileio import atomic_write
+from .fileio import atomic_write, parse_json, read_text
 from .stopwords import DEFAULT_STOPWORDS
 
 _TOKEN_RE = re.compile(r"[a-z]+")
@@ -166,12 +166,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CorruptFile(f"{path}: {exc}")
-        return cls.from_json(obj)
+        return cls.from_json(parse_json(read_text(path), path))
 
 
 @dataclass(frozen=True)
@@ -254,27 +249,23 @@ def load_corpus(path):
     """Read a JSON Lines corpus: one {"id", "text", "images"} object per line."""
     docs = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorruptFile(f"{path}:{lineno}: invalid JSON: {exc}")
-            try:
-                doc = RawDocument(
-                    doc_id=str(obj["id"]),
-                    text=str(obj["text"]),
-                    image_paths=tuple(str(p) for p in obj.get("images", [])),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorruptFile(f"{path}:{lineno}: invalid document: {exc}")
-            if doc.doc_id in seen:
-                raise DuplicateId(f"{path}:{lineno}: duplicate doc id {doc.doc_id!r}")
-            seen.add(doc.doc_id)
-            docs.append(doc)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        obj = parse_json(line, f"{path}:{lineno}")
+        try:
+            doc = RawDocument(
+                doc_id=str(obj["id"]),
+                text=str(obj["text"]),
+                image_paths=tuple(str(p) for p in obj.get("images", [])),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptFile(f"{path}:{lineno}: invalid document: {exc}")
+        if doc.doc_id in seen:
+            raise DuplicateId(f"{path}:{lineno}: duplicate doc id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+        docs.append(doc)
     return docs
 
 

@@ -61,6 +61,25 @@ def dump_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def read_text(path):
+    """A file's whole text, decoded as UTF-8; undecodable bytes give CorruptFile."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise CorruptFile(f"{path}: not UTF-8 text: {exc}")
+
+
+def parse_json(text, where):
+    """json.loads, raising CorruptFile (naming where) for malformed JSON, for
+    nesting deeper than the parser's recursion limit and for integers too
+    long to convert."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise CorruptFile(f"{where}: invalid JSON: {exc}")
+
+
 def write_tensor_file(path, magic, header, arrays):
     """One-shot container write: header plus arrays in the given order.
 

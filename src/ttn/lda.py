@@ -15,6 +15,8 @@ averaging counts over post-burn-in sweeps is available behind a flag.
 from __future__ import annotations
 
 import hashlib
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -64,33 +66,42 @@ class LdaHyperparams:
 class GibbsState:
     """Token-level sampler state with incrementally maintained count tables.
 
-    n_dk, n_kw and n_k must always be the marginal counts of z; recounted()
-    rebuilds them from scratch so tests can verify the bookkeeping after any
-    number of sweeps.
+    Topic-word counts are word-major and sparse: n_wk[w] maps each topic
+    holding word w to its (positive) count. n_dk, n_wk and n_k must always
+    be the marginal counts of z; recounted() rebuilds them from scratch so
+    tests can verify the bookkeeping after any number of sweeps.
     """
 
     doc_ids: tuple
     doc_tokens: list  # per doc: word id of every token occurrence
     z: list  # per doc: topic assignment of every token occurrence
     n_dk: list  # [doc][topic] counts
-    n_kw: list  # [topic][word] counts
+    n_wk: list  # [word] {topic: count}, positive counts only
     n_k: list  # [topic] counts
     k: int
     vocab_size: int
 
     def recounted(self):
         n_dk = [[0] * self.k for _ in self.doc_ids]
-        n_kw = [[0] * self.vocab_size for _ in range(self.k)]
+        n_wk = [{} for _ in range(self.vocab_size)]
         n_k = [0] * self.k
         for d, (tokens, zs) in enumerate(zip(self.doc_tokens, self.z)):
             for w, topic in zip(tokens, zs):
                 n_dk[d][topic] += 1
-                n_kw[topic][w] += 1
+                n_wk[w][topic] = n_wk[w].get(topic, 0) + 1
                 n_k[topic] += 1
-        return n_dk, n_kw, n_k
+        return n_dk, n_wk, n_k
 
     def counts_consistent(self):
-        return self.recounted() == (self.n_dk, self.n_kw, self.n_k)
+        return self.recounted() == (self.n_dk, self.n_wk, self.n_k)
+
+    def dense_n_kw(self):
+        """The topic-word counts as a (k, vocab_size) float array."""
+        n_kw = np.zeros((self.k, self.vocab_size))
+        for w, row in enumerate(self.n_wk):
+            for topic, count in row.items():
+                n_kw[topic, w] = count
+        return n_kw
 
 
 @dataclass
@@ -150,7 +161,7 @@ def gibbs_init(corpus, k, vocab_size, rng):
         doc_tokens=doc_tokens,
         z=[],
         n_dk=[[0] * k for _ in docs],
-        n_kw=[[0] * vocab_size for _ in range(k)],
+        n_wk=[{} for _ in range(vocab_size)],
         n_k=[0] * k,
         k=k,
         vocab_size=vocab_size,
@@ -163,7 +174,7 @@ def gibbs_init(corpus, k, vocab_size, rng):
         row = state.n_dk[d]
         for w, topic in zip(tokens, zs):
             row[topic] += 1
-            state.n_kw[topic][w] += 1
+            state.n_wk[w][topic] = state.n_wk[w].get(topic, 0) + 1
             state.n_k[topic] += 1
     return state
 
@@ -174,39 +185,89 @@ def gibbs_sweep(state, alpha, beta, uniforms):
     uniforms must hold one U[0,1) draw per token; consuming pre-drawn numbers
     keeps the PRNG stream identical regardless of how the inner loop is
     implemented.
+
+    The conditional (n_dk + alpha) (n_kw + beta) / (n_k + V beta) is drawn
+    exactly as qc[k] * (n_kw + beta) with qc[k] = (alpha + n_dk) / (n_k + V beta),
+    split into two buckets: the word bucket sum_{k: n_kw > 0} qc[k] n_kw over
+    the word's sparse counts, and the smoothing bucket beta * sum_k qc[k],
+    whose sum is kept running. qc is rebuilt once per document; a token
+    changes only its old and new topic's entries. Only a draw that lands in
+    the smoothing bucket scans all k topics.
     """
-    k = state.k
     v_beta = state.vocab_size * beta
-    n_kw = state.n_kw
+    n_wk = state.n_wk
     n_k = state.n_k
-    probs = [0.0] * k
     pos = 0
     for d, tokens in enumerate(state.doc_tokens):
         nd = state.n_dk[d]
         zs = state.z[d]
+        qc = [(alpha + c) / (n + v_beta) for c, n in zip(nd, n_k)]
+        q_sum = sum(qc)
         for i, w in enumerate(tokens):
             old = zs[i]
+            nw = n_wk[w]
             nd[old] -= 1
-            n_kw[old][w] -= 1
             n_k[old] -= 1
-            total = 0.0
-            for kk in range(k):
-                p = (nd[kk] + alpha) * (n_kw[kk][w] + beta) / (n_k[kk] + v_beta)
-                probs[kk] = p
-                total += p
-            r = uniforms[pos] * total
+            c = nw[old] - 1
+            if c:
+                nw[old] = c
+            else:
+                del nw[old]
+            q = (alpha + nd[old]) / (n_k[old] + v_beta)
+            q_sum += q - qc[old]
+            qc[old] = q
+
+            w_sum = 0.0
+            for t, c in nw.items():
+                w_sum += qc[t] * c
+            r = uniforms[pos] * (w_sum + beta * q_sum)
             pos += 1
-            new = k - 1
-            acc = 0.0
-            for kk in range(k):
-                acc += probs[kk]
-                if r < acc:
-                    new = kk
-                    break
+            # If rounding carries r past a bucket's scanned total, its scan
+            # ends on its last topic, which has weight in that bucket.
+            if r < w_sum:
+                acc = 0.0
+                for new, c in nw.items():
+                    acc += qc[new] * c
+                    if r < acc:
+                        break
+            else:
+                r = (r - w_sum) / beta
+                acc = 0.0
+                for new, q in enumerate(qc):
+                    acc += q
+                    if r < acc:
+                        break
+
             zs[i] = new
             nd[new] += 1
-            n_kw[new][w] += 1
             n_k[new] += 1
+            nw[new] = nw.get(new, 0) + 1
+            q = (alpha + nd[new]) / (n_k[new] + v_beta)
+            q_sum += q - qc[new]
+            qc[new] = q
+
+
+def log_joint(state, alpha, beta):
+    """log p(w, z) of a sampler state, in closed form (Griffiths & Steyvers,
+    PNAS 2004):
+
+        k [lgamma(V beta) - V lgamma(beta)]
+          + sum_k [sum_w lgamma(n_kw + beta) - lgamma(n_k + V beta)]
+        + D [lgamma(k alpha) - k lgamma(alpha)]
+          + sum_d [sum_k lgamma(n_dk + alpha) - lgamma(n_d + k alpha)]
+
+    A zero count's lgamma(beta) or lgamma(alpha) cancels against the
+    constant terms, so only nonzero counts are visited.
+    """
+    lgamma = math.lgamma
+    k, v_beta, k_alpha = state.k, state.vocab_size * beta, state.k * alpha
+    lg_alpha, lg_beta = lgamma(alpha), lgamma(beta)
+    total = k * lgamma(v_beta) + len(state.doc_ids) * lgamma(k_alpha)
+    total -= sum(lgamma(n + v_beta) for n in state.n_k)
+    total += sum(lgamma(c + beta) - lg_beta for row in state.n_wk for c in row.values())
+    for row, tokens in zip(state.n_dk, state.doc_tokens):
+        total += sum(lgamma(c + alpha) - lg_alpha for c in row if c) - lgamma(len(tokens) + k_alpha)
+    return total
 
 
 def _smoothed_rows(counts, prior):
@@ -246,7 +307,7 @@ def train(corpus, hyper, words):
         gibbs_sweep(state, alpha, beta, uniforms)
         if hyper.average_after_burn_in and sweep >= hyper.burn_in:
             sum_n_dk += np.asarray(state.n_dk, dtype=np.float64)
-            sum_n_kw += np.asarray(state.n_kw, dtype=np.float64)
+            sum_n_kw += state.dense_n_kw()
             samples += 1
 
     if hyper.average_after_burn_in:
@@ -254,7 +315,7 @@ def train(corpus, hyper, words):
         n_kw = sum_n_kw / samples
     else:
         n_dk = np.asarray(state.n_dk, dtype=np.float64)
-        n_kw = np.asarray(state.n_kw, dtype=np.float64)
+        n_kw = state.dense_n_kw()
 
     phi = _smoothed_rows(n_kw, beta)
     thetas = _smoothed_rows(n_dk, alpha)
@@ -268,6 +329,49 @@ def train(corpus, hyper, words):
     )
 
 
+def _phi_columns(phi, word_ids):
+    """Per word: phi's column as a list and its running sums over topics."""
+    word_ids = sorted(word_ids)
+    cols = phi[:, word_ids]
+    return dict(zip(word_ids, zip(cols.T.tolist(), np.cumsum(cols, axis=0).T.tolist())))
+
+
+def infer_sweep(tokens, zs, nd, cols, alpha, uniforms):
+    """One fold-in sweep over a document's tokens with phi frozen.
+
+    nd maps each topic in use to its (positive) count in the document, cols
+    comes from _phi_columns, and uniforms holds one U[0,1) draw per token.
+    The conditional (n_dk + alpha) * phi_kw is drawn exactly from two buckets:
+    the doc bucket sum_{k: n_dk > 0} n_dk phi_kw over the document's topics,
+    and the smoothing bucket alpha * sum_k phi_kw, drawn by bisecting the
+    word's running sums.
+    """
+    for i, w in enumerate(tokens):
+        old = zs[i]
+        c = nd[old] - 1
+        if c:
+            nd[old] = c
+        else:
+            del nd[old]
+        col, cum = cols[w]
+        d_sum = 0.0
+        for t, c in nd.items():
+            d_sum += c * col[t]
+        r = uniforms[i] * (d_sum + alpha * cum[-1])
+        if r < d_sum:
+            acc = 0.0
+            for new, c in nd.items():
+                acc += c * col[new]
+                if r < acc:
+                    break
+        else:
+            new = bisect_right(cum, (r - d_sum) / alpha)
+            if new == len(cum):  # roundoff fall-through: the last topic with weight
+                new = bisect_left(cum, cum[-1])
+        zs[i] = new
+        nd[new] = nd.get(new, 0) + 1
+
+
 def infer(bow, model, seed=0):
     """Fold-in inference: Gibbs over one document's assignments, phi fixed.
 
@@ -278,43 +382,20 @@ def infer(bow, model, seed=0):
         raise EmptyDocument(f"doc {bow.doc_id!r} has no in-vocabulary tokens")
     k = model.k
     alpha = model.hyper.effective_alpha
-    iters = model.hyper.infer_iters
-
-    # Column view of phi per distinct word; plain lists keep the inner loop cheap.
-    cols = {w: model.phi[:, w].tolist() for w in set(tokens)}
+    cols = _phi_columns(model.phi, set(tokens))
 
     rng = np.random.default_rng(seed)
     n = len(tokens)
     zs = (rng.random(n) * k).astype(np.int64).tolist()
-    nd = [0] * k
+    nd = {}
     for topic in zs:
-        nd[topic] += 1
+        nd[topic] = nd.get(topic, 0) + 1
+    for _ in range(model.hyper.infer_iters):
+        infer_sweep(tokens, zs, nd, cols, alpha, rng.random(n).tolist())
 
-    probs = [0.0] * k
-    for _ in range(iters):
-        uniforms = rng.random(n).tolist()
-        for i, w in enumerate(tokens):
-            old = zs[i]
-            nd[old] -= 1
-            col = cols[w]
-            total = 0.0
-            for kk in range(k):
-                p = col[kk] * (nd[kk] + alpha)
-                probs[kk] = p
-                total += p
-            r = uniforms[i] * total
-            new = k - 1
-            acc = 0.0
-            for kk in range(k):
-                acc += probs[kk]
-                if r < acc:
-                    new = kk
-                    break
-            zs[i] = new
-            nd[new] += 1
-
-    theta = (np.asarray(nd, dtype=np.float64) + alpha) / (n + k * alpha)
-    return theta
+    counts = np.zeros(k)
+    counts[list(nd)] = list(nd.values())
+    return (counts + alpha) / (n + k * alpha)
 
 
 def perplexity(corpus, model, seed=0):

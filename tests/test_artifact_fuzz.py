@@ -1,8 +1,9 @@
-"""Every artifact loader fails only with DataError on damaged container files.
+"""Every artifact loader fails only with DataError on damaged files.
 
 One valid file of each kind (topic model, checkpoint, retrieval index,
-features, PPM image) is truncated, bit-flipped and extended; loading the
-result must either succeed or raise a DataError subclass, never anything else.
+features, PPM image, JSONL corpus, vocabulary JSON) is truncated, bit-flipped
+and extended; loading the result must either succeed or raise a DataError
+subclass, never anything else.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttn import evaluate, fileio, lda, nn, retrieval, textnet
+from ttn import corpus, evaluate, fileio, lda, nn, retrieval, textnet
 from ttn.errors import CorruptFile, DataError, FormatVersionMismatch
 
 
@@ -46,6 +47,13 @@ def _index():
     ])
 
 
+def _corpus():
+    return [
+        corpus.RawDocument(f"doc{i}", f"apple banana cherry {i}", (f"img{i}.ppm",) * (i % 2))
+        for i in range(3)
+    ]
+
+
 KINDS = {
     "model": (lambda path: lda.save_model(_model(), path), lda.load_model),
     "checkpoint": (lambda path: textnet.save_checkpoint(_checkpoint(), path), textnet.load_checkpoint),
@@ -58,7 +66,13 @@ KINDS = {
         lambda path: fileio.write_ppm(path, np.random.default_rng(2).random((3, 4, 5))),
         fileio.read_ppm,
     ),
+    "corpus": (lambda path: corpus.save_corpus(_corpus(), path), corpus.load_corpus),
+    "vocab": (
+        lambda path: corpus.build_vocabulary(_corpus(), min_df=1, max_df_ratio=1.0).save(path),
+        corpus.Vocabulary.load,
+    ),
 }
+TEXT_KINDS = ("corpus", "vocab")
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +87,10 @@ def valid_files(tmp_path_factory):
     return str(root), files
 
 
-def _header_end(raw):
-    if raw.startswith(b"P6"):
+def _header_end(raw, kind):
+    if kind in TEXT_KINDS:
+        return len(raw)  # all structure
+    if kind == "ppm":
         return raw.index(b"255\n") + 4  # a PPM's text header
     return 16 + int.from_bytes(raw[8:16], "little")
 
@@ -94,9 +110,9 @@ mutations = st.lists(
 )
 
 
-def _mutate(raw, ops):
+def _mutate(raw, kind, ops):
     data = bytearray(raw)
-    header_end = _header_end(raw)
+    header_end = _header_end(raw, kind)
     for op, pos, value in ops:
         if op == "truncate":
             del data[pos % (len(data) + 1):]
@@ -115,7 +131,7 @@ def test_damaged_artifact_raises_only_data_error(valid_files, kind, ops):
     root, files = valid_files
     path = os.path.join(root, f"mutant_{kind}")
     with open(path, "wb") as fh:
-        fh.write(_mutate(files[kind], ops))
+        fh.write(_mutate(files[kind], kind, ops))
     try:
         KINDS[kind][1](path)
     except DataError:
@@ -145,12 +161,22 @@ def test_previous_format_version_rejected(valid_files, kind, old_magic):
 def test_out_of_range_header_numbers_rejected(valid_files, kind, field, value):
     root, files = valid_files
     raw = files[kind]
-    header = raw[16:_header_end(raw)]
+    header = raw[16:_header_end(raw, kind)]
     assert field in header
     header = header.replace(field, value)
     path = os.path.join(root, f"numbers_{kind}")
     with open(path, "wb") as fh:
-        fh.write(raw[:8] + len(header).to_bytes(8, "little") + header + raw[_header_end(raw):])
+        fh.write(raw[:8] + len(header).to_bytes(8, "little") + header + raw[_header_end(raw, kind):])
+    with pytest.raises(CorruptFile):
+        KINDS[kind][1](path)
+
+
+@pytest.mark.parametrize("kind", TEXT_KINDS)
+def test_deeply_nested_text_rejected(valid_files, kind):
+    root, files = valid_files
+    path = os.path.join(root, f"deep_{kind}")
+    with open(path, "wb") as fh:
+        fh.write(b"[" * 200_000 + files[kind])  # nested far beyond the parser's recursion limit
     with pytest.raises(CorruptFile):
         KINDS[kind][1](path)
 

@@ -300,6 +300,36 @@ def test_net_train_malformed_spec_exits_3(workspace, tmp_path, capsys, spec):
     assert "ShapeMismatch: malformed net spec" in capsys.readouterr().err
 
 
+DEEP = "[" * 200_000  # nested far beyond the JSON parser's recursion limit
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("vocab", DEEP),
+        ("lda", DEEP),
+        ("spec", DEEP),
+        ("config", DEEP),
+        ("config", "[]"),
+    ],
+    ids=["corpus-line", "vocab", "spec", "config", "config-not-an-object"],
+)
+def test_unparsable_json_inputs_exit_3(workspace, tmp_path, capsys, command, text):
+    path = str(tmp_path / "input.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    net = ["net", "train", workspace["corpus"], workspace["model"], "-o", str(tmp_path / "net"),
+           "--iters", "1", "--batch-size", "4"]
+    argv = {
+        "vocab": ["vocab", "build", path, "-o", str(tmp_path / "vocab.json")],
+        "lda": ["lda", "train", workspace["corpus"], path, "-o", str(tmp_path / "m.lda"), "-k", "2"],
+        "spec": net + ["--spec", path],
+        "config": net + ["--config", path],
+    }[command]
+    assert main(argv) == 3
+    assert "CorruptFile" in capsys.readouterr().err
+
+
 def test_malformed_containers_exit_3(workspace, tmp_path, capsys):
     def container(magic, header, declared_len=None):
         n = len(header) if declared_len is None else declared_len

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -92,6 +93,176 @@ def test_docs_processed_in_sorted_id_order():
     state_rev = L.gibbs_init(bows[::-1], k=2, vocab_size=8, rng=np.random.default_rng(9))
     assert state_fwd.doc_ids == state_rev.doc_ids
     assert state_fwd.z == state_rev.z  # input order must not matter
+
+
+# ------------------------------------------------- exact draws and log-joint
+
+GRID = 4096  # uniforms stepped over this many evenly spaced points
+
+
+def _dense_reference_sweep(state, alpha, beta, uniforms):
+    """The textbook sampler, kept as the reference: the full conditional over
+    every topic for every token, scanned in topic order."""
+    k, v_beta, n_k = state.k, state.vocab_size * beta, state.n_k
+    pos = 0
+    for d, tokens in enumerate(state.doc_tokens):
+        nd, zs = state.n_dk[d], state.z[d]
+        for i, w in enumerate(tokens):
+            old, nw = zs[i], state.n_wk[w]
+            nd[old] -= 1
+            n_k[old] -= 1
+            nw[old] -= 1
+            if not nw[old]:
+                del nw[old]
+            probs = [(nd[t] + alpha) * (nw.get(t, 0) + beta) / (n_k[t] + v_beta) for t in range(k)]
+            r = uniforms[pos] * sum(probs)
+            pos += 1
+            new, acc = k - 1, 0.0
+            for t, p in enumerate(probs):
+                acc += p
+                if r < acc:
+                    new = t
+                    break
+            zs[i] = new
+            nd[new] += 1
+            n_k[new] += 1
+            nw[new] = nw.get(new, 0) + 1
+
+
+def _grid_shares(draw, k):
+    hits = np.zeros(k)
+    for j in range(GRID):
+        hits[draw((j + 0.5) / GRID)] += 1
+    return hits / GRID
+
+
+def _swept_state(first_doc, k, alpha, beta):
+    """A state three sweeps past its random start whose first sorted
+    document is first_doc, and uniforms for one more sweep."""
+    bows = [BowDocument("a-first", first_doc)] + _planted_corpus(n_docs=6, tokens_per_doc=12)
+    rng = np.random.default_rng(3)
+    state = L.gibbs_init(bows, k=k, vocab_size=8, rng=rng)
+    total = sum(len(t) for t in state.doc_tokens)
+    for _ in range(3):
+        L.gibbs_sweep(state, alpha, beta, rng.random(total).tolist())
+    return state, rng.random(total).tolist()
+
+
+def _first_token_draw(state, alpha, beta, rest):
+    def draw(u):
+        trial = copy.deepcopy(state)
+        L.gibbs_sweep(trial, alpha, beta, [u] + rest[1:])
+        assert trial.counts_consistent()
+        return trial.z[0][0]
+    return draw
+
+
+@pytest.mark.parametrize(
+    "first_doc, beta",
+    [({2: 1}, 0.01), ({2: 1}, 0.5), ({2: 2, 5: 1, 6: 1}, 0.3)],
+    ids=["one-token", "one-token-heavy-smoothing", "four-tokens"],
+)
+def test_gibbs_draw_matches_dense_conditional(first_doc, beta):
+    k, alpha = 5, 0.4
+    state, rest = _swept_state(first_doc, k, alpha, beta)
+    w, old = state.doc_tokens[0][0], state.z[0][0]
+    n_dk, n_k = list(state.n_dk[0]), list(state.n_k)
+    n_kw = [state.n_wk[w].get(t, 0) for t in range(k)]
+    for counts in (n_dk, n_k, n_kw):
+        counts[old] -= 1
+    dense = np.array([(n_dk[t] + alpha) * (n_kw[t] + beta) / (n_k[t] + 8 * beta) for t in range(k)])
+    shares = _grid_shares(_first_token_draw(state, alpha, beta, rest), k)
+    np.testing.assert_allclose(shares, dense / dense.sum(), rtol=0, atol=2 / GRID)
+
+
+def _fold_in_case():
+    """A document whose first token's word has zero phi under topics 0 and 4,
+    and whose other tokens sit on topics 0 (zero weight), 1 and 2."""
+    phi = np.random.default_rng(5).dirichlet(np.ones(8), size=5)
+    phi[[0, 4], 1] = 0.0
+    tokens, zs = [1, 1, 3, 6], [1, 0, 2, 1]
+    return phi, tokens, zs
+
+
+def _fold_in_draw(phi, tokens, zs, alpha):
+    cols = L._phi_columns(phi, set(tokens))
+
+    def draw(u):
+        trial_zs, nd = list(zs), {}
+        for t in zs:
+            nd[t] = nd.get(t, 0) + 1
+        L.infer_sweep(tokens, trial_zs, nd, cols, alpha, [u] + [0.5] * (len(tokens) - 1))
+        return trial_zs[0]
+    return draw
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.25])
+def test_fold_in_draw_matches_dense_conditional(alpha):
+    phi, tokens, zs = _fold_in_case()
+    n_dk = np.bincount(zs[1:], minlength=5)
+    dense = (n_dk + alpha) * phi[:, tokens[0]]
+    shares = _grid_shares(_fold_in_draw(phi, tokens, zs, alpha), 5)
+    np.testing.assert_allclose(shares, dense / dense.sum(), rtol=0, atol=2 / GRID)
+
+
+def test_bucket_edges_never_draw_zero_weight_topic():
+    """Uniforms at the top of the range (where a running or cumulative sum
+    may fall a rounding step short of the total) and around the boundary
+    between the two buckets must land on a topic whose weight is positive."""
+    edges = [1.0, np.nextafter(1.0, 0.0), 0.0]
+    phi, tokens, zs = _fold_in_case()
+    for alpha in (0.1, 1.25):
+        n_dk = np.bincount(zs[1:], minlength=5)
+        d_sum = float(n_dk @ phi[:, tokens[0]])
+        bound = d_sum / (d_sum + alpha * phi[:, tokens[0]].sum())
+        draw = _fold_in_draw(phi, tokens, zs, alpha)
+        for u in edges + [bound + j * np.spacing(bound) for j in range(-16, 17)]:
+            assert phi[draw(u), tokens[0]] > 0, u
+
+    state, rest = _swept_state({2: 1}, 5, 0.4, 0.01)
+    draw = _first_token_draw(state, 0.4, 0.01, rest)
+    for u in edges:
+        assert 0 <= draw(u) < 5
+
+
+def test_log_joint_matches_dense_formula():
+    k, alpha, beta = 3, 0.3, 0.05
+    state, _ = _swept_state({2: 2, 5: 1}, k, alpha, beta)
+    n_kw = state.dense_n_kw()
+    n_dk = np.array(state.n_dk, dtype=np.float64)
+    v, n_docs = state.vocab_size, len(state.doc_ids)
+    lg = np.vectorize(math.lgamma)
+    expected = (
+        k * (math.lgamma(v * beta) - v * math.lgamma(beta))
+        + float(lg(n_kw + beta).sum() - lg(n_kw.sum(axis=1) + v * beta).sum())
+        + n_docs * (math.lgamma(k * alpha) - k * math.lgamma(alpha))
+        + float(lg(n_dk + alpha).sum() - lg(n_dk.sum(axis=1) + k * alpha).sum())
+    )
+    assert L.log_joint(state, alpha, beta) == pytest.approx(expected, rel=1e-12)
+
+
+def test_sparse_sweep_settles_with_dense_reference():
+    """Both samplers climb from the random start and settle at the same
+    log-joint. Settled means differ by 13-22 nats between seeds, so the
+    8-seed means carry a standard error of about 6 nats; they must agree
+    within 10 nats (under 1.5% of the settled value, about -695)."""
+    bows = _planted_corpus()
+    k, alpha, beta, sweeps, settle = 4, 0.1, 0.01, 100, 20
+    settled = {}
+    for name, sweep in (("sparse", L.gibbs_sweep), ("dense", _dense_reference_sweep)):
+        means = []
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            state = L.gibbs_init(bows, k=k, vocab_size=8, rng=rng)
+            start = L.log_joint(state, alpha, beta)
+            trace = []
+            for _ in range(sweeps):
+                sweep(state, alpha, beta, rng.random(400).tolist())
+                trace.append(L.log_joint(state, alpha, beta))
+            means.append(float(np.mean(trace[settle:])))
+            assert means[-1] > start + 500, (name, seed)
+        settled[name] = float(np.mean(means))
+    assert abs(settled["sparse"] - settled["dense"]) < 10, settled
 
 
 # ------------------------------------------------------------------- recovery
