@@ -12,12 +12,12 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -191,12 +191,44 @@ def _resolve_spec(spec_arg, k, crop_size):
     return nn.NetSpec.from_dict(parse_json(read_text(spec_arg), spec_arg))
 
 
+# Top-level run-config keys and their JSON types; "sgd" and "augment" take
+# theirs from the fields of nn.SgdConfig and textnet.AugmentConfig.
+_RUN_CONFIG_TYPES = {"seed": "int", "checkpoint_every": "int", "infer_missing": "bool", "image_root": "str"}
+
+
+def _is_json_type(value, kind):
+    if kind == "float":  # a finite number; bool is not one
+        if type(value) is int:
+            return abs(value) <= sys.float_info.max
+        return type(value) is float and math.isfinite(value)
+    return type(value) is {"int": int, "bool": bool, "str": str}[kind]
+
+
+def _check_run_config(cfg, path):
+    """Raise CorruptFile unless "sgd" and "augment" are objects holding only
+    fields of their dataclasses, and every value has its field's type."""
+    checks = [(key, cfg[key], kind) for key, kind in _RUN_CONFIG_TYPES.items() if key in cfg]
+    for section, cls in (("sgd", nn.SgdConfig), ("augment", textnet.AugmentConfig)):
+        values = cfg.get(section, {})
+        if not isinstance(values, dict):
+            raise CorruptFile(f"{path}: run config {section!r} must be an object")
+        kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
+        for name, value in values.items():
+            if name not in kinds:
+                raise CorruptFile(f"{path}: unknown {section} field {name!r}; known: {', '.join(kinds)}")
+            checks.append((f"{section}.{name}", value, kinds[name]))
+    for key, value, kind in checks:
+        if not _is_json_type(value, kind):
+            raise CorruptFile(f"{path}: run config {key} must be a JSON {kind}, got {value!r}")
+
+
 def _load_run_config(args):
     file_cfg = {}
     if args.config:
         file_cfg = parse_json(read_text(args.config), args.config)
         if not isinstance(file_cfg, dict):
             raise CorruptFile(f"{args.config}: run config is not a JSON object")
+        _check_run_config(file_cfg, args.config)
 
     def pick(flag_value, key, default):
         if flag_value is not None:
@@ -417,34 +449,10 @@ def cmd_eval_svm(args):
 
 
 def cmd_eval_map(args):
-    per_query = {}
-    order = []
-    with open(args.scores, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:4]] != ["query_id", "item_id", "score", "relevant"]:
-            raise DataError("scores file must start with header query_id,item_id,score,relevant")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                query_id, score, relevant = row[0], float(row[2]), int(row[3]) != 0
-            except (IndexError, ValueError):
-                raise DataError(
-                    f"{args.scores}:{reader.line_num}: expected query_id,item_id,score,relevant"
-                    f" with a numeric score and a 0/1 relevant, got {row!r}"
-                )
-            if query_id not in per_query:
-                per_query[query_id] = ([], [])
-                order.append(query_id)
-            per_query[query_id][0].append(score)
-            per_query[query_id][1].append(relevant)
-    if not per_query:
-        raise DataError("scores file holds no rows")
+    per_query = evaluate_mod.load_scores(args.scores)
     lines = ["query_id,ap"]
     aps = []
-    for query_id in order:
-        scores, relevance = per_query[query_id]
+    for query_id, (scores, relevance) in per_query.items():
         ap = evaluate_mod.average_precision(
             np.asarray(scores), np.asarray(relevance), interpolated=args.interpolated
         )
@@ -464,6 +472,8 @@ def _stride_split(items, val_fraction):
 
 
 def cmd_eval_sweep(args):
+    if not 0 < args.val_fraction <= 0.5:  # NaN fails this too
+        raise DataError(f"--val-fraction must be in (0, 0.5], got {args.val_fraction}")
     docs = corpus_mod.load_corpus(args.corpus)
     stopwords = _stopwords_from(args)
     vocab = corpus_mod.build_vocabulary(

@@ -11,6 +11,7 @@ older detection-benchmark protocol.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,11 +19,12 @@ import numpy as np
 from . import lda as lda_mod
 from .errors import (
     CorruptFile,
+    DataError,
     DimensionMismatch,
     NoRelevant,
     SingleClassData,
 )
-from .fileio import MAGIC_FEATURES, atomic_write, read_tensor_file, string_list, write_tensor_file
+from .fileio import MAGIC_FEATURES, atomic_write, read_csv, read_tensor_file, string_list, write_tensor_file
 
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2)
 DEFAULT_LAMBDA = 1e-3
@@ -231,18 +233,44 @@ def load_features(path):
 def load_labels(path):
     """Read a label CSV: item_id,class_id[,class_id...] per row."""
     labels = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            item_id = row[0].strip()
-            classes = [c.strip() for c in row[1:] if c.strip()]
-            if not classes:
-                raise CorruptFile(f"{path}: item {item_id!r} has no class")
-            labels[item_id] = frozenset(classes)
+    for _, row in read_csv(path):
+        if not row or not row[0].strip():
+            continue
+        item_id = row[0].strip()
+        classes = [c.strip() for c in row[1:] if c.strip()]
+        if not classes:
+            raise CorruptFile(f"{path}: item {item_id!r} has no class")
+        labels[item_id] = frozenset(classes)
     if not labels:
         raise CorruptFile(f"{path}: no labels found")
     return labels
+
+
+def load_scores(path):
+    """Read a score CSV (header query_id,item_id,score,relevant) into
+    {query_id: (scores, relevance flags)}, queries in file order."""
+    rows = read_csv(path)
+    if not rows or [h.strip() for h in rows[0][1][:4]] != ["query_id", "item_id", "score", "relevant"]:
+        raise DataError("scores file must start with header query_id,item_id,score,relevant")
+    per_query = {}
+    for line_num, row in rows[1:]:
+        if not row:
+            continue
+        try:
+            query_id, score, relevant = row[0], float(row[2]), int(row[3]) != 0
+            if math.isnan(score):
+                raise ValueError("a NaN score has no rank")
+        except (IndexError, ValueError):
+            raise DataError(
+                f"{path}:{line_num}: expected query_id,item_id,score,relevant"
+                f" with a numeric score and a 0/1 relevant, got {row!r}"
+            )
+        scores, relevance = per_query.setdefault(query_id, ([], []))
+        scores.append(score)
+        relevance.append(relevant)
+    if not per_query:
+        raise DataError("scores file holds no rows")
+    return per_query
 
 
 def save_labels(labels, path):

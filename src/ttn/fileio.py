@@ -10,6 +10,7 @@ atomic_write so a crashed run never leaves a half-written artifact behind.
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import math
 import os
@@ -68,6 +69,18 @@ def read_text(path):
             return fh.read()
         except UnicodeDecodeError as exc:
             raise CorruptFile(f"{path}: not UTF-8 text: {exc}")
+
+
+def read_csv(path):
+    """(line number, row) for every row of a UTF-8 CSV file; undecodable
+    bytes and rows the csv module rejects, such as a field over its size
+    limit, give CorruptFile."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            return [(reader.line_num, row) for row in reader]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise CorruptFile(f"{path}:{reader.line_num}: unreadable CSV: {exc}")
 
 
 def parse_json(text, where):

@@ -1,9 +1,15 @@
 """Minimal dense-tensor CNN kernels: layers, losses, SGD with momentum.
 
-Everything is plain numpy. Convolution is im2col plus one matmul per batch;
-backward passes are exact reverse-mode gradients, checkable against central
-finite differences via gradient_check(). float64 is the reference precision
-(all numeric tests run in it); float32 is accepted for faster training runs.
+Everything is plain numpy. Convolution stores its patches channel-major,
+as a (C*k*k, B*OH*OW) matrix built from k*k strided copies of the padded
+input, so forward, weight gradient and patch gradient are one GEMM each
+over the whole batch; its output is the (B, OC, OH, OW) transposed view of
+an (OC, B, OH, OW) array. Max pooling is a running np.maximum over the w*w
+window-offset views; its backward recomputes the first-max mask from the
+cached input and output. Backward passes are exact reverse-mode gradients,
+checkable against central finite differences via gradient_check(). float64
+is the reference precision (all numeric tests run in it); float32 is
+accepted for faster training runs.
 """
 
 from __future__ import annotations
@@ -315,69 +321,74 @@ def params_equal(a, b):
     return True
 
 
-def _im2col(x, kernel, stride):
-    # x is already padded. Returns (B, OH*OW, C*kernel*kernel) patch matrix.
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    b, c, oh, ow = windows.shape[:4]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kernel * kernel)
-    return np.ascontiguousarray(cols), oh, ow
-
-
 def _conv_forward(x, layer, w, bias):
-    if layer.pad:
-        x = np.pad(x, ((0, 0), (0, 0), (layer.pad, layer.pad), (layer.pad, layer.pad)))
-    cols, oh, ow = _im2col(x, layer.kernel, layer.stride)
-    w_flat = w.reshape(layer.out_channels, -1)
-    out = cols @ w_flat.T + bias
-    out = out.transpose(0, 2, 1).reshape(x.shape[0], layer.out_channels, oh, ow)
-    return out, (cols, x.shape, oh, ow)
+    k, s, p = layer.kernel, layer.stride, layer.pad
+    b, c, h, wd = x.shape
+    oh = (h + 2 * p - k) // s + 1
+    ow = (wd + 2 * p - k) // s + 1
+    xp = np.zeros((c, b, h + 2 * p, wd + 2 * p), dtype=x.dtype)
+    xp[:, :, p : p + h, p : p + wd] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, k, k, b, oh, ow), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
+    cols = cols.reshape(c * k * k, b * oh * ow)
+    out = w.reshape(layer.out_channels, -1) @ cols
+    out += bias[:, None]
+    return out.reshape(layer.out_channels, b, oh, ow).transpose(1, 0, 2, 3), (cols, xp.shape)
 
 
-def _conv_backward(grad, layer, w, cache):
-    cols, padded_shape, oh, ow = cache
-    b = grad.shape[0]
-    g = grad.reshape(b, layer.out_channels, oh * ow)
-    w_flat = w.reshape(layer.out_channels, -1)
-    # both contractions as single GEMMs; einsum here falls off the BLAS path
-    g_flat = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(layer.out_channels, -1)
-    dw = (g_flat @ cols.reshape(-1, cols.shape[2])).reshape(w.shape)
-    db = grad.sum(axis=(0, 2, 3))
-    # Scatter patches back onto the padded input (col2im). The patch
-    # gradients come out of the GEMM as contiguous (B, C, k, k, OH, OW), so
-    # each strided add below reads whole output rows.
-    k = layer.kernel
-    s = layer.stride
-    dpatches = (w_flat.T @ g).reshape(b, padded_shape[1], k, k, oh, ow)
+def _conv_backward(grad, layer, w, cache, input_grad=True):
+    cols, padded_shape = cache
+    c, b, hp, wp = padded_shape
+    oh, ow = grad.shape[2:]
+    g = grad.transpose(1, 0, 2, 3).reshape(layer.out_channels, -1)
+    dw = (g @ cols.T).reshape(w.shape)
+    # Sum each image's map, then add the images in order: the summation
+    # order of a reduction over a C-ordered (B, OC, OH, OW) array.
+    db = np.ascontiguousarray(g.reshape(layer.out_channels, b, -1).sum(axis=2).T).sum(axis=0)
+    if not input_grad:
+        return None, dw, db
+    k, s, p = layer.kernel, layer.stride, layer.pad
+    dpatches = (w.reshape(layer.out_channels, -1).T @ g).reshape(c, k, k, b, oh, ow)
     dx = np.zeros(padded_shape, dtype=grad.dtype)
     for i in range(k):
         for j in range(k):
-            dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += dpatches[:, :, i, j]
-    if layer.pad:
-        p = layer.pad
-        dx = dx[:, :, p:-p, p:-p]
-    return dx, dw, db
+            dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += dpatches[:, i, j]
+    return dx[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3), dw, db
+
+
+def _pool_views(x, layer):
+    """The input element each output reads at every window offset, in
+    row-major offset order: w*w strided views shaped like the output."""
+    w, s = layer.window, layer.step
+    oh = (x.shape[2] - w) // s + 1
+    ow = (x.shape[3] - w) // s + 1
+    return [x[:, :, di : di + s * oh : s, dj : dj + s * ow : s] for di in range(w) for dj in range(w)]
 
 
 def _pool_forward(x, layer):
-    w, s = layer.window, layer.step
-    windows = np.lib.stride_tricks.sliding_window_view(x, (w, w), axis=(2, 3))[:, :, ::s, ::s]
-    b, c, oh, ow = windows.shape[:4]
-    flat = windows.reshape(b, c, oh, ow, w * w)
-    arg = flat.argmax(axis=4)
-    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
-    return out, (x.shape, arg, oh, ow)
+    views = _pool_views(x, layer)
+    out = views[0].copy(order="K")
+    for view in views[1:]:
+        # np.maximum returns its second operand on a tie (also 0.0 against
+        # -0.0), so the running max keeps the first maximum in window order.
+        np.maximum(view, out, out=out)
+    return out, (x, out)
 
 
 def _pool_backward(grad, layer, cache):
-    x_shape, arg, oh, ow = cache
-    w, s = layer.window, layer.step
-    dx = np.zeros(x_shape, dtype=grad.dtype)
-    # For one window offset every output maps to a distinct input, so the
-    # strided add is safe even when windows overlap.
-    for di in range(w):
-        for dj in range(w):
-            dx[:, :, di : di + s * oh : s, dj : dj + s * ow : s] += np.where(arg == di * w + dj, grad, 0.0)
+    # Each output's gradient goes to the first input in its window that
+    # equals the output, so ties resolve as a first-max argmax would.
+    x, out = cache
+    dx = np.zeros_like(x, dtype=grad.dtype)
+    taken = np.zeros_like(out, dtype=bool)
+    for view, dview in zip(_pool_views(x, layer), _pool_views(dx, layer)):
+        hit = (view == out) & ~taken
+        taken |= hit
+        # For one offset every output maps to a distinct input, so the
+        # strided add is safe even when windows overlap.
+        dview += grad * hit
     return dx
 
 
@@ -442,7 +453,8 @@ def backward(spec, params, cache, grad_logits):
         elif isinstance(layer, MaxPool2d):
             g = _pool_backward(g, layer, local)
         elif isinstance(layer, Conv2d):
-            g, dw, db = _conv_backward(g, layer, params[i].weight, local)
+            # nothing reads the gradient of the input batch
+            g, dw, db = _conv_backward(g, layer, params[i].weight, local, input_grad=i > 0)
             grads[i] = (dw, db)
     return grads
 

@@ -8,6 +8,7 @@ coordinates finite without changing the ranking of well-separated entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from . import lda as lda_mod
 from . import textnet
 from .errors import (
     CorruptFile,
+    DataError,
     DimensionMismatch,
     DuplicateId,
     EmptyDocument,
@@ -79,7 +81,10 @@ class RetrievalIndex:
 
 
 def build_index(entries, epsilon=1e-10):
-    """Validate entries (unique ids, one shared dimension) into an index."""
+    """Validate entries (unique ids, one shared dimension) into an index.
+    epsilon must be finite and non-negative, as load_index requires."""
+    if not 0 <= epsilon < math.inf:  # NaN fails this too
+        raise DataError(f"epsilon must be finite and non-negative, got {epsilon}")
     return _index(tuple(entries), epsilon)
 
 

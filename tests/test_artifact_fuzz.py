@@ -1,8 +1,8 @@
 """Every artifact loader fails only with DataError on damaged files.
 
 One valid file of each kind (topic model, checkpoint, retrieval index,
-features, PPM image, JSONL corpus, vocabulary JSON) is truncated, bit-flipped
-and extended; loading the result must either succeed or raise a DataError
+features, PPM image, JSONL corpus, vocabulary JSON, label CSV, score CSV) is
+truncated, bit-flipped and extended; loading the result must either succeed or raise a DataError
 subclass, never anything else.
 """
 
@@ -54,6 +54,12 @@ def _corpus():
     ]
 
 
+def _save_scores(path):
+    rows = [f"q{i % 2},item{i},{0.1 * i:.1f},{i % 3 == 0:d}" for i in range(6)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("query_id,item_id,score,relevant\n" + "\n".join(rows) + "\n")
+
+
 KINDS = {
     "model": (lambda path: lda.save_model(_model(), path), lda.load_model),
     "checkpoint": (lambda path: textnet.save_checkpoint(_checkpoint(), path), textnet.load_checkpoint),
@@ -71,8 +77,14 @@ KINDS = {
         lambda path: corpus.build_vocabulary(_corpus(), min_df=1, max_df_ratio=1.0).save(path),
         corpus.Vocabulary.load,
     ),
+    "labels": (
+        lambda path: evaluate.save_labels({f"img{i}.ppm": {str(i % 2), "all"} for i in range(4)}, path),
+        evaluate.load_labels,
+    ),
+    "scores": (_save_scores, evaluate.load_scores),
 }
-TEXT_KINDS = ("corpus", "vocab")
+JSON_KINDS = ("corpus", "vocab")
+TEXT_KINDS = JSON_KINDS + ("labels", "scores")
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +183,7 @@ def test_out_of_range_header_numbers_rejected(valid_files, kind, field, value):
         KINDS[kind][1](path)
 
 
-@pytest.mark.parametrize("kind", TEXT_KINDS)
+@pytest.mark.parametrize("kind", JSON_KINDS)
 def test_deeply_nested_text_rejected(valid_files, kind):
     root, files = valid_files
     path = os.path.join(root, f"deep_{kind}")

@@ -226,8 +226,8 @@ def test_eval_map_rejects_bad_header(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "rows",
-    ["q1,a\n", "q1,a,high,1\n", "q1,a,0.5,yes\n"],
-    ids=["short-row", "non-numeric-score", "non-numeric-relevant"],
+    ["q1,a\n", "q1,a,high,1\n", "q1,a,0.5,yes\n", "q1,a,nan,1\nq1,b,0.5,0\n"],
+    ids=["short-row", "non-numeric-score", "non-numeric-relevant", "nan-score"],
 )
 def test_eval_map_rejects_bad_rows(tmp_path, capsys, rows):
     scores = tmp_path / "scores.csv"
@@ -249,6 +249,42 @@ def test_eval_sweep_rejects_bad_label_rows(workspace, tmp_path, capsys, row, err
         "eval", "sweep", workspace["corpus"], "--ks", "2", "--labels", str(labels), "--iters", "2",
     ]) == 3
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fraction", ["0", "-0.25", "0.6", "nan", "inf"])
+def test_eval_sweep_rejects_val_fraction_outside_half(workspace, capsys, fraction):
+    labels = os.path.join(workspace["data"], "labels.csv")
+    assert main([
+        "eval", "sweep", workspace["corpus"], "--ks", "2", "--labels", labels, "--iters", "2",
+        f"--val-fraction={fraction}",
+    ]) == 3
+    assert "DataError: --val-fraction must be in (0, 0.5]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+def test_index_build_rejects_epsilon_the_reader_refuses(workspace, tmp_path, capsys, epsilon):
+    out = tmp_path / "index.bin"
+    assert main([
+        "index", "build", workspace["corpus"], "-o", str(out), "--modality", "text",
+        "--lda", workspace["model"], f"--epsilon={epsilon}",
+    ]) == 3
+    assert "epsilon must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["labels", "scores"])
+def test_overlong_csv_field_exits_3(workspace, tmp_path, capsys, reader):
+    # Past the csv module's 131072-character field limit.
+    path = tmp_path / "long.csv"
+    long_id = "x" * 200_000
+    if reader == "labels":
+        path.write_text(f"{long_id},0\n", encoding="utf-8")
+        argv = ["eval", "svm", "--features", workspace["features"], "--labels", str(path)]
+    else:
+        path.write_text(f"query_id,item_id,score,relevant\nq1,{long_id},0.5,1\n", encoding="utf-8")
+        argv = ["eval", "map", "--scores", str(path)]
+    assert main(argv) == 3
+    assert "CorruptFile: " in capsys.readouterr().err
 
 
 def test_index_build_rejects_checkpoint_of_another_model(workspace, tmp_path, capsys):
@@ -374,6 +410,42 @@ def test_config_file_with_flag_override(workspace, tmp_path):
     assert effective["seed"] == 9
     with open(os.path.join(out, "loss.csv"), encoding="utf-8") as fh:
         assert len(fh.read().splitlines()) == 7
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"sgd": {"bogus": 1}},
+        {"sgd": 5},
+        {"augment": 5},
+        {"sgd": {"batch_size": "x"}},
+        {"seed": "abc"},
+        {"sgd": {"max_iters": 2.5}},
+        {"sgd": {"base_lr": True}},
+        {"sgd": {"base_lr": 1e400}},
+        {"augment": {"crop_size": 32, "flip": True}},
+    ],
+    ids=["unknown-sgd-field", "sgd-not-an-object", "augment-not-an-object", "string-batch-size",
+         "string-seed", "float-iterations", "bool-rate", "infinite-rate", "unknown-augment-field"],
+)
+def test_malformed_run_config_exits_3(workspace, tmp_path, capsys, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([
+        "net", "train", workspace["corpus"], workspace["model"], "-o", str(tmp_path / "net"),
+        "--iters", "1", "--batch-size", "4", "--config", str(path),
+    ]) == 3
+    assert "CorruptFile: " in capsys.readouterr().err
+    assert not (tmp_path / "net" / "final.ckpt").exists()
+
+
+def test_effective_config_reads_back_as_config(workspace, tmp_path):
+    # Every field a run echoes into effective_config.json passes the checks.
+    out = str(tmp_path / "net")
+    assert main([
+        "net", "train", workspace["corpus"], workspace["model"], "-o", out,
+        "--config", os.path.join(workspace["netdir"], "effective_config.json"), "--iters", "2",
+    ]) == 0
 
 
 def test_cli_training_deterministic(workspace, tmp_path):

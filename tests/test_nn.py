@@ -445,3 +445,229 @@ def test_init_respects_dtype():
     params = nn.init_params(spec, seed=0, dtype=np.float32)
     assert params[1].weight.dtype == np.float32
     assert params[1].weight_momentum.dtype == np.float32
+
+
+# -------------------------------------------------------- kernel equivalence
+# The reference is the earlier kernel: a per-image (B, OH*OW, C*k*k) im2col
+# convolution and a pool that caches each window's argmax. The channel-major
+# GEMMs and the plain-max pool must reproduce it bit for bit.
+
+
+def _ref_im2col(x, kernel, stride):
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride, :, :]
+    b, c, oh, ow = windows.shape[:4]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kernel * kernel)
+    return np.ascontiguousarray(cols), oh, ow
+
+
+def _ref_conv_forward(x, layer, w, bias):
+    if layer.pad:
+        x = np.pad(x, ((0, 0), (0, 0), (layer.pad, layer.pad), (layer.pad, layer.pad)))
+    cols, oh, ow = _ref_im2col(x, layer.kernel, layer.stride)
+    out = cols @ w.reshape(layer.out_channels, -1).T + bias
+    out = out.transpose(0, 2, 1).reshape(x.shape[0], layer.out_channels, oh, ow)
+    return out, (cols, x.shape, oh, ow)
+
+
+def _ref_conv_backward(grad, layer, w, cache):
+    cols, padded_shape, oh, ow = cache
+    b = grad.shape[0]
+    g = grad.reshape(b, layer.out_channels, oh * ow)
+    w_flat = w.reshape(layer.out_channels, -1)
+    g_flat = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(layer.out_channels, -1)
+    dw = (g_flat @ cols.reshape(-1, cols.shape[2])).reshape(w.shape)
+    db = grad.sum(axis=(0, 2, 3))
+    k, s = layer.kernel, layer.stride
+    dpatches = (w_flat.T @ g).reshape(b, padded_shape[1], k, k, oh, ow)
+    dx = np.zeros(padded_shape, dtype=grad.dtype)
+    for i in range(k):
+        for j in range(k):
+            dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += dpatches[:, :, i, j]
+    if layer.pad:
+        p = layer.pad
+        dx = dx[:, :, p:-p, p:-p]
+    return dx, dw, db
+
+
+def _ref_pool_forward(x, layer):
+    w, s = layer.window, layer.step
+    windows = np.lib.stride_tricks.sliding_window_view(x, (w, w), axis=(2, 3))[:, :, ::s, ::s]
+    b, c, oh, ow = windows.shape[:4]
+    flat = windows.reshape(b, c, oh, ow, w * w)
+    arg = flat.argmax(axis=4)
+    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+    return out, (x.shape, arg, oh, ow)
+
+
+def _ref_pool_backward(grad, layer, cache):
+    x_shape, arg, oh, ow = cache
+    w, s = layer.window, layer.step
+    dx = np.zeros(x_shape, dtype=grad.dtype)
+    for di in range(w):
+        for dj in range(w):
+            dx[:, :, di : di + s * oh : s, dj : dj + s * ow : s] += np.where(arg == di * w + dj, grad, 0.0)
+    return dx
+
+
+def _ref_outputs_and_grads(spec, params, batch, grad_logits):
+    """Every layer output and every parameter gradient of the reference kernel."""
+    x, outputs, locals_ = batch, [], []
+    for layer, p in zip(spec.layers, params):
+        if isinstance(layer, nn.Conv2d):
+            x, local = _ref_conv_forward(x, layer, p.weight, p.bias)
+        elif isinstance(layer, nn.Relu):
+            local = x > 0
+            x = x * local
+        elif isinstance(layer, nn.MaxPool2d):
+            x, local = _ref_pool_forward(x, layer)
+        elif isinstance(layer, nn.Flatten):
+            local = x.shape
+            x = x.reshape(x.shape[0], -1)
+        else:
+            local = x
+            x = x @ p.weight.T + p.bias
+        outputs.append(x)
+        locals_.append(local)
+    grads = [None] * len(spec.layers)
+    g = grad_logits
+    for i in range(len(spec.layers) - 1, -1, -1):
+        layer, local = spec.layers[i], locals_[i]
+        if isinstance(layer, nn.Dense):
+            grads[i] = (g.T @ local, g.sum(axis=0))
+            g = g @ params[i].weight
+        elif isinstance(layer, nn.Flatten):
+            g = g.reshape(local)
+        elif isinstance(layer, nn.Relu):
+            g = g * local
+        elif isinstance(layer, nn.MaxPool2d):
+            g = _ref_pool_backward(g, layer, local)
+        else:
+            g, dw, db = _ref_conv_backward(g, layer, params[i].weight, local)
+            grads[i] = (dw, db)
+    return outputs, grads
+
+
+def _bits(a):
+    return (a.shape, a.dtype, np.ascontiguousarray(a).tobytes())
+
+
+def _post_relu_ties(rng, shape):
+    # Mostly negative, so many windows are all negative; relu turns those
+    # into -0.0 and the exact zeros into 0.0, and 1.0 repeats within windows.
+    return rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0], size=shape, p=[0.3, 0.3, 0.1, 0.2, 0.1])
+
+
+# Sizes are those the net runs at (batch 64 for training, 10 for the crops
+# of predict_topics). Below about 1e6 multiply-adds OpenBLAS hands a GEMM to
+# small-matrix kernels whose summation order depends on operand layout, so a
+# tiny conv layer's weight gradient may differ in the last bit from the
+# reference (see test_small_gemm_within_rounding_of_reference).
+EQUIVALENCE_CASES = {
+    "tiny-32-b64": (nn.tiny_topic_net(3), 64, "uniform"),
+    "tiny-32-b10": (nn.tiny_topic_net(3), 10, "uniform"),
+    "tiny-40-b10": (nn.tiny_topic_net(4, in_shape=(3, 40, 40)), 10, "uniform"),
+    "stride2-conv-gapped-pool": (
+        nn.NetSpec(
+            in_shape=(3, 40, 40),
+            layers=(nn.Conv2d(16, 3, stride=2, pad=1), nn.Relu(), nn.MaxPool2d(2, stride=3),
+                    nn.Flatten(), nn.Dense(5)),
+        ),
+        10,
+        "normal",
+    ),
+    "overlapping-pool": (
+        nn.NetSpec(
+            in_shape=(3, 32, 32),
+            layers=(nn.Conv2d(16, 3, pad=1), nn.Relu(), nn.MaxPool2d(3, stride=2), nn.Conv2d(8, 3),
+                    nn.Relu(), nn.MaxPool2d(2), nn.Flatten(), nn.Dense(3)),
+        ),
+        10,
+        "normal",
+    ),
+    "post-relu-ties": (nn.tiny_topic_net(3), 64, "ties"),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_kernel_bit_identical_to_im2col_argmax_reference(case, dtype):
+    spec, batch_size, inputs = EQUIVALENCE_CASES[case]
+    params = nn.init_params(spec, seed=2, dtype=dtype)
+    rng = np.random.default_rng(4)
+    shape = (batch_size,) + spec.in_shape
+    batch = {
+        "uniform": lambda: rng.random(shape),
+        "normal": lambda: rng.standard_normal(shape),
+        "ties": lambda: _post_relu_ties(rng, shape),
+    }[inputs]().astype(dtype)
+    if inputs == "ties":
+        # Every other conv1 channel is negative throughout, so each of its
+        # pool1 windows is a tie of -0.0 after relu1.
+        params[0].bias[::2] = -100.0
+    grad_logits = rng.standard_normal((batch_size, spec.out_dim)).astype(dtype)
+    logits, cache = nn.forward(spec, params, batch)
+    grads = nn.backward(spec, params, cache, grad_logits)
+    want_outputs, want_grads = _ref_outputs_and_grads(spec, params, batch, grad_logits)
+    for name, got, want in zip(spec.layer_names(), nn.layer_outputs(cache), want_outputs):
+        assert _bits(got) == _bits(want), name
+    for name, got, want in zip(spec.layer_names(), grads, want_grads):
+        if want is not None:
+            assert _bits(got[0]) == _bits(want[0]), f"{name} weight"
+            assert _bits(got[1]) == _bits(want[1]), f"{name} bias"
+
+
+@pytest.mark.parametrize("window, stride", [(2, 0), (2, 3), (3, 2), (3, 1)], ids=["tiled", "gapped", "overlapping", "stride-1"])
+def test_pool_bit_identical_to_argmax_reference_on_ties(window, stride):
+    layer = nn.MaxPool2d(window, stride=stride)
+    rng = np.random.default_rng(8)
+    x = _post_relu_ties(rng, (6, 3, 11, 11))
+    x = x * (x > 0)  # -0.0 wherever the input was not positive
+    out, cache = nn._pool_forward(x, layer)
+    want, ref_cache = _ref_pool_forward(x, layer)
+    assert _bits(out) == _bits(want)
+    grad = rng.choice([-1.5, -0.0, 0.0, 2.0], size=out.shape)
+    assert _bits(nn._pool_backward(grad, layer, cache)) == _bits(_ref_pool_backward(grad, layer, ref_cache))
+
+
+def test_small_gemm_within_rounding_of_reference():
+    # A net this small sends its GEMMs to OpenBLAS's small-matrix kernels,
+    # where the channel-major layout may sum in another order: the results
+    # agree to rounding, not necessarily to the bit.
+    spec = _small_spec()
+    params = nn.init_params(spec, seed=3)
+    rng = np.random.default_rng(5)
+    batch = rng.standard_normal((3, 1, 6, 6))
+    grad_logits = rng.standard_normal((3, 3))
+    logits, cache = nn.forward(spec, params, batch)
+    grads = nn.backward(spec, params, cache, grad_logits)
+    want_outputs, want_grads = _ref_outputs_and_grads(spec, params, batch, grad_logits)
+    for got, want in zip(nn.layer_outputs(cache), want_outputs):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+    for got, want in zip(grads, want_grads):
+        if want is not None:
+            np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-13, atol=1e-15)
+
+
+def test_backward_skips_first_layer_input_gradient_without_changing_grads(monkeypatch):
+    spec = nn.tiny_topic_net(3)
+    params = nn.init_params(spec, seed=6)
+    rng = np.random.default_rng(6)
+    logits, cache = nn.forward(spec, params, rng.random((8, 3, 32, 32)))
+    grad_logits = rng.standard_normal(logits.shape)
+    skipped = nn.backward(spec, params, cache, grad_logits)
+
+    conv_backward = nn._conv_backward
+    asked = []
+
+    def always_input_grad(grad, layer, w, layer_cache, input_grad=True):
+        asked.append(input_grad)
+        return conv_backward(grad, layer, w, layer_cache, input_grad=True)
+
+    monkeypatch.setattr(nn, "_conv_backward", always_input_grad)
+    computed = nn.backward(spec, params, cache, grad_logits)
+    assert asked == [True, False]  # conv2 needs its input gradient, conv1 does not
+    for a, b in zip(skipped, computed):
+        if a is not None:
+            assert _bits(a[0]) == _bits(b[0]) and _bits(a[1]) == _bits(b[1])

@@ -13,6 +13,7 @@ from ttn import lda as lda_mod
 from ttn import nn, retrieval, textnet
 from ttn.corpus import BowDocument
 from ttn.errors import (
+    DataError,
     DimensionMismatch,
     DuplicateId,
     EmptyDocument,
@@ -390,6 +391,18 @@ def test_index_roundtrip_bit_exact(tmp_path):
     for got, want in zip(loaded.entries, entries):
         assert (got.item_id, got.modality, got.payload_ref) == (want.item_id, want.modality, want.payload_ref)
         assert got.embedding.tobytes() == want.embedding.tobytes()
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, -1e-300, math.nan, math.inf])
+def test_build_index_refuses_epsilon_load_index_refuses(epsilon):
+    with pytest.raises(DataError, match="epsilon must be finite and non-negative"):
+        retrieval.build_index(_entries(), epsilon=epsilon)
+
+
+def test_zero_epsilon_index_roundtrips(tmp_path):
+    path = str(tmp_path / "index.bin")
+    retrieval.save_index(retrieval.build_index(_entries(), epsilon=0.0), path)
+    assert retrieval.load_index(path).epsilon == 0.0
 
 
 def test_format_results_exact():
