@@ -387,7 +387,7 @@ def cmd_index_build(args):
             )
     index = retrieval.build_index(entries, epsilon=args.epsilon)
     retrieval.save_index(index, args.out)
-    log.info("indexed %d entries -> %s", len(index.entries), args.out)
+    log.info("indexed %d entries -> %s", len(index.ids), args.out)
     return 0
 
 

@@ -9,7 +9,9 @@ coordinates finite without changing the ranking of well-separated entries.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,47 +72,68 @@ class IndexEntry:
 
 @dataclass(frozen=True)
 class RetrievalIndex:
-    """Validated entries plus what a query scans, computed once: the (N, k)
-    embedding matrix (row i is entries[i]) and, per modality, its row numbers
-    and item ids."""
+    """A validated index held as columns: row i is item ids[i] of
+    modalities[i], with embedding matrix[i] and payload_refs[i]. rows maps
+    each modality to its row numbers and item ids, which is what a query
+    scans."""
 
-    entries: tuple
+    ids: tuple
+    modalities: tuple
+    payload_refs: tuple
     epsilon: float
     matrix: np.ndarray
     rows: dict  # modality -> (row numbers, item ids)
 
+    @cached_property
+    def entries(self):
+        """The rows as IndexEntry objects (embeddings are views of matrix),
+        built on first access; queries, save and load never read them."""
+        return tuple(map(IndexEntry, self.ids, self.modalities, self.matrix, self.payload_refs))
+
+
+def _finite_non_negative(values):
+    """Every value finite and >= 0. A NaN fails min() >= 0, since min and max
+    propagate it, so two reductions check all three conditions."""
+    return values.size == 0 or (values.min() >= 0.0 and values.max() < math.inf)
+
 
 def build_index(entries, epsilon=1e-10):
-    """Validate entries (unique ids, one shared dimension) into an index.
-    epsilon must be finite and non-negative, as load_index requires."""
+    """Validate entries (unique ids, one shared dimension, finite non-negative
+    embeddings) into an index. epsilon must be finite and non-negative, as
+    load_index requires."""
     if not 0 <= epsilon < math.inf:  # NaN fails this too
         raise DataError(f"epsilon must be finite and non-negative, got {epsilon}")
-    return _index(tuple(entries), epsilon)
-
-
-def _index(entries, epsilon, matrix=None):
-    """The index of validated entries; matrix, if given, already holds their
-    embeddings as rows and is used as it is."""
+    entries = tuple(entries)
     if not entries:
         raise ValueError("entries must be nonempty")
-    seen = set()
     dim = entries[0].embedding.shape
-    rows = {modality: ([], []) for modality in MODALITIES}
-    for number, entry in enumerate(entries):
-        if entry.item_id in seen:
-            raise DuplicateId(f"duplicate item id {entry.item_id!r}")
-        seen.add(entry.item_id)
+    for entry in entries:
         if entry.embedding.shape != dim:
             raise DimensionMismatch(
                 f"entry {entry.item_id!r} has dim {entry.embedding.shape}, expected {dim}"
             )
-        numbers, ids = rows[entry.modality]
-        numbers.append(number)
-        ids.append(entry.item_id)
-    if matrix is None:
-        matrix = np.array([e.embedding for e in entries])
-    rows = {modality: (np.array(numbers, dtype=np.intp), ids) for modality, (numbers, ids) in rows.items()}
-    return RetrievalIndex(entries=entries, epsilon=epsilon, matrix=matrix, rows=rows)
+    matrix = np.array([e.embedding for e in entries])
+    if not _finite_non_negative(matrix):
+        raise DataError("index embeddings must be finite and non-negative")
+    ids = tuple(e.item_id for e in entries)
+    modalities = tuple(e.modality for e in entries)
+    payload_refs = tuple(e.payload_ref for e in entries)
+    return _index(ids, modalities, payload_refs, epsilon, matrix)
+
+
+def _index(ids, modalities, payload_refs, epsilon, matrix):
+    """The index over columns whose lengths, modalities and values the caller
+    has checked; raises DuplicateId if an item id repeats."""
+    if len(set(ids)) < len(ids):
+        duplicate = next(item_id for item_id, n in Counter(ids).items() if n > 1)
+        raise DuplicateId(f"duplicate item id {duplicate!r}")
+    rows = {}
+    for modality in MODALITIES:
+        numbers = [n for n, m in enumerate(modalities) if m == modality]
+        rows[modality] = (np.array(numbers, dtype=np.intp), [ids[n] for n in numbers])
+    return RetrievalIndex(
+        ids=ids, modalities=modalities, payload_refs=payload_refs, epsilon=epsilon, matrix=matrix, rows=rows
+    )
 
 
 # Rows ranked per pass. Two (rows, k) buffers per pass stay small enough to be
@@ -161,6 +184,8 @@ def query(index, query_embedding, target_modality, top_n=10, symmetric=False):
         raise DimensionMismatch(
             f"query has shape {p.shape}, index entries {index.matrix.shape[1:]}"
         )
+    if not _finite_non_negative(p):
+        raise DataError("query embedding must be finite and non-negative")
     d = _divergences(p, index.matrix, numbers, index.epsilon, symmetric)
     n = min(top_n, len(ids))
     # every row at or below the n-th smallest divergence, so ties at the edge
@@ -199,6 +224,7 @@ def feature_nn(db_features, query_vector, metric="cosine", top_n=10):
 
     db_features is a list of (item_id, vector). Supported metrics: "cosine"
     (1 - cosine similarity; zero vectors get distance 1) and "euclidean".
+    Returns [(item_id, distance)], ascending, ties broken by item_id.
     """
     if metric not in ("cosine", "euclidean"):
         raise ValueError(f"metric must be cosine or euclidean, got {metric!r}")
@@ -207,39 +233,40 @@ def feature_nn(db_features, query_vector, metric="cosine", top_n=10):
     if not db_features:
         raise ValueError("db_features must be nonempty")
     q = np.asarray(query_vector, dtype=np.float64)
-    scored = []
-    for item_id, vec in db_features:
-        v = np.asarray(vec, dtype=np.float64)
+    ids = [item_id for item_id, _ in db_features]
+    vectors = [np.asarray(vec, dtype=np.float64) for _, vec in db_features]
+    for item_id, v in zip(ids, vectors):
         if v.shape != q.shape:
             raise DimensionMismatch(f"entry {item_id!r} has dim {v.shape}, query {q.shape}")
-        if metric == "euclidean":
-            dist = float(np.linalg.norm(v - q))
-        else:
-            norms = np.linalg.norm(v) * np.linalg.norm(q)
-            dist = 1.0 if norms == 0 else 1.0 - float(v @ q) / norms
-        scored.append((dist, item_id))
-    scored.sort()
+    matrix = np.array(vectors).reshape(len(ids), q.size)
+    q = q.ravel()
+    if metric == "euclidean":
+        dist = np.linalg.norm(matrix - q, axis=1)
+    else:
+        norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(q)
+        # a zero norm leaves the ratio at 0, so its distance is 1
+        dist = 1.0 - np.divide(matrix @ q, norms, out=np.zeros(len(ids)), where=norms != 0)
+    scored = sorted(zip(dist.tolist(), ids))
     return [(item_id, d) for d, item_id in scored[:top_n]]
 
 
 def save_index(index, path):
     """Tensor container: ids, modalities and payload refs in the header, the
     (N, k) embedding matrix as the one tensor."""
-    entries = index.entries
     header = {
         "epsilon": index.epsilon,
-        "ids": [e.item_id for e in entries],
-        "modalities": [e.modality for e in entries],
-        "payload_refs": [e.payload_ref for e in entries],
+        "ids": index.ids,
+        "modalities": index.modalities,
+        "payload_refs": index.payload_refs,
     }
     write_tensor_file(path, MAGIC_INDEX, header, [index.matrix])
 
 
 def load_index(path):
     header, arrays = read_tensor_file(path, MAGIC_INDEX)
-    ids = string_list(header, "ids")
-    modalities = string_list(header, "modalities")
-    payload_refs = string_list(header, "payload_refs")
+    ids = tuple(string_list(header, "ids"))
+    modalities = tuple(string_list(header, "modalities"))
+    payload_refs = tuple(string_list(header, "payload_refs"))
     try:
         epsilon = float(header["epsilon"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -253,11 +280,9 @@ def load_index(path):
     matrix = arrays[0]
     if not 0 < matrix.shape[0] == len(ids) == len(modalities) == len(payload_refs):
         raise CorruptFile(f"{path}: header lists do not match the {matrix.shape[0]} embedding rows")
-    entries = [
-        IndexEntry(item_id=i, modality=m, embedding=row, payload_ref=ref)
-        for i, m, row, ref in zip(ids, modalities, matrix, payload_refs)
-    ]
-    return _index(tuple(entries), epsilon, matrix)
+    if not _finite_non_negative(matrix):
+        raise CorruptFile(f"{path}: index embeddings must be finite and non-negative")
+    return _index(ids, modalities, payload_refs, epsilon, matrix)
 
 
 def format_results(results):

@@ -272,6 +272,19 @@ def test_index_build_rejects_epsilon_the_reader_refuses(workspace, tmp_path, cap
     assert not out.exists()
 
 
+def test_query_rejects_index_with_negative_embedding_exits_3(workspace, tmp_path, capsys):
+    raw = bytearray(open(workspace["index"], "rb").read())
+    matrix_start = 16 + int.from_bytes(raw[8:16], "little")  # magic, header length, header
+    raw[matrix_start:matrix_start + 8] = np.float64(-5.0).tobytes()
+    bad = tmp_path / "index.bin"
+    bad.write_bytes(bytes(raw))
+    with open(os.path.join(workspace["data"], "queries.json"), encoding="utf-8") as fh:
+        word = json.load(fh)[0]["word"]
+    assert main(["query", workspace["index"], "--text", word, "--lda", workspace["model"]]) == 0
+    assert main(["query", str(bad), "--text", word, "--lda", workspace["model"]]) == 3
+    assert "CorruptFile" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("reader", ["labels", "scores"])
 def test_overlong_csv_field_exits_3(workspace, tmp_path, capsys, reader):
     # Past the csv module's 131072-character field limit.

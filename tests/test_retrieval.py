@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,12 +15,14 @@ from ttn import lda as lda_mod
 from ttn import nn, retrieval, textnet
 from ttn.corpus import BowDocument
 from ttn.errors import (
+    CorruptFile,
     DataError,
     DimensionMismatch,
     DuplicateId,
     EmptyDocument,
     EmptyModality,
 )
+from ttn.fileio import MAGIC_INDEX, write_tensor_file
 
 simplex_pair = st.integers(min_value=2, max_value=6).flatmap(
     lambda k: st.tuples(
@@ -256,6 +260,43 @@ def test_build_index_rejects_duplicates_and_mixed_dims():
         retrieval.build_index([])
 
 
+# Rows that are not probabilities; each used to rank at divergence 0.0.
+INVALID_ROWS = pytest.mark.parametrize(
+    "bad", [[-5.0, 0.5], [math.nan, 1.0], [math.inf, 0.0]], ids=["negative", "nan", "inf"]
+)
+
+
+def _two_dim_entries(bad_row=(0.5, 0.5)):
+    return [
+        retrieval.IndexEntry("exact", "image", np.array([0.9, 0.1])),
+        retrieval.IndexEntry("other", "image", np.array(bad_row)),
+    ]
+
+
+@INVALID_ROWS
+def test_build_index_rejects_values_outside_probabilities(bad):
+    with pytest.raises(DataError, match="finite and non-negative"):
+        retrieval.build_index(_two_dim_entries(bad))
+
+
+@INVALID_ROWS
+def test_load_index_rejects_values_outside_probabilities(tmp_path, bad):
+    path = str(tmp_path / "index.bin")
+    header = {
+        "epsilon": 1e-10, "ids": ["exact", "other"], "modalities": ["image", "image"], "payload_refs": ["", ""],
+    }
+    write_tensor_file(path, MAGIC_INDEX, header, [np.array([[0.9, 0.1], bad])])
+    with pytest.raises(CorruptFile, match="finite and non-negative"):
+        retrieval.load_index(path)
+
+
+@INVALID_ROWS
+def test_query_rejects_embedding_outside_probabilities(bad):
+    index = retrieval.build_index(_two_dim_entries())
+    with pytest.raises(DataError, match="finite and non-negative"):
+        retrieval.query(index, np.array(bad), "image")
+
+
 def test_index_entry_validates_modality():
     with pytest.raises(ValueError):
         retrieval.IndexEntry("a", "audio", np.array([1.0]))
@@ -391,6 +432,55 @@ def test_index_roundtrip_bit_exact(tmp_path):
     for got, want in zip(loaded.entries, entries):
         assert (got.item_id, got.modality, got.payload_ref) == (want.item_id, want.modality, want.payload_ref)
         assert got.embedding.tobytes() == want.embedding.tobytes()
+
+
+# Ids and payload refs of any text, non-ASCII included; refs are often empty.
+index_columns = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.tuples(
+        st.lists(
+            st.tuples(
+                st.text(max_size=6),
+                st.sampled_from(retrieval.MODALITIES),
+                st.one_of(st.just(""), st.text(max_size=6)),
+                st.lists(coordinate, min_size=k, max_size=k),
+            ),
+            min_size=1, max_size=12, unique_by=lambda row: row[0],
+        ),
+        st.lists(coordinate, min_size=k, max_size=k),  # the query
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(index_columns, st.sampled_from([0.0, 1e-10, 0.05]), st.booleans())
+def test_columnar_index_roundtrip(drawn, epsilon, symmetric):
+    rows, q = drawn
+    entries = [retrieval.IndexEntry(i, m, e, payload_ref=ref) for i, m, ref, e in rows]
+    index = retrieval.build_index(entries, epsilon=epsilon)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "index.bin")
+        retrieval.save_index(index, path)
+        loaded = retrieval.load_index(path)
+    assert loaded.epsilon == epsilon
+    for got in (index, loaded):
+        assert got.ids == tuple(e.item_id for e in entries)
+        assert got.modalities == tuple(e.modality for e in entries)
+        assert got.payload_refs == tuple(e.payload_ref for e in entries)
+    assert loaded.matrix.tobytes() == index.matrix.tobytes()
+    assert len(loaded.entries) == len(entries)
+    for got, want in zip(loaded.entries, entries):
+        assert (got.item_id, got.modality, got.payload_ref) == (want.item_id, want.modality, want.payload_ref)
+        assert got.embedding.tobytes() == want.embedding.tobytes()
+    for target in retrieval.MODALITIES:
+        if target not in index.modalities:
+            with pytest.raises(EmptyModality):
+                retrieval.query(loaded, q, target)
+            continue
+        # with epsilon 0 a zero coordinate divides by zero; both sides get the same bits
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert retrieval.query(loaded, q, target, top_n=5, symmetric=symmetric) == retrieval.query(
+                index, q, target, top_n=5, symmetric=symmetric
+            )
 
 
 @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, math.nan, math.inf])
