@@ -110,6 +110,12 @@ def write_tensor_file(path, magic, header, arrays):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def finite_non_negative(values):
+    """Every value finite and >= 0. A NaN fails min() >= 0, since min and max
+    propagate it, so two reductions check all three conditions."""
+    return values.size == 0 or (values.min() >= 0.0 and values.max() < math.inf)
+
+
 def _finite_float(text):
     # Parses JSON floats and the NaN/Infinity constants Python's json accepts.
     value = float(text)

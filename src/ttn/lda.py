@@ -22,8 +22,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import corpus as corpus_mod
-from .errors import CorruptFile, EmptyDocument
-from .fileio import MAGIC_LDA, read_tensor_file, string_list, write_tensor_file
+from .errors import CorruptFile, DataError, EmptyDocument
+from .fileio import MAGIC_LDA, finite_non_negative, read_tensor_file, string_list, write_tensor_file
+
+# How far a row of phi or of the stored thetas may sum from 1. Rows the
+# sampler writes are off by a few ulps; a damaged or hand-made row is not.
+ROW_SUM_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -442,11 +446,24 @@ def doc_theta(model, doc, seed=0):
     return infer(corpus_mod.BowDocument(doc_id=doc.doc_id, counts=counts), model, seed=seed)
 
 
+def _distribution_rows_error(name, rows):
+    """Why rows is not a stack of distributions, or None if it is."""
+    if not finite_non_negative(rows):
+        return f"{name} rows must be finite and non-negative"
+    if rows.size and np.abs(rows.sum(axis=1) - 1.0).max() > ROW_SUM_TOLERANCE:
+        return f"{name} rows must sum to 1 within {ROW_SUM_TOLERANCE}"
+    return None
+
+
 def save_model(model, path):
     """Serialize a model as a tensor container: phi (k, V), then thetas
-    (n_docs, k) in the header's sorted doc_ids order."""
+    (n_docs, k) in the header's sorted doc_ids order. Rows that load_model
+    would refuse (not finite, negative, or not summing to 1) raise DataError."""
     doc_ids = sorted(model.doc_thetas)
     thetas = np.array([model.doc_thetas[d] for d in doc_ids], dtype=np.float64).reshape(len(doc_ids), model.k)
+    error = _distribution_rows_error("phi", np.asarray(model.phi)) or _distribution_rows_error("theta", thetas)
+    if error:
+        raise DataError(f"refusing to save the model: {error}")
     header = {
         "hyper": asdict(model.hyper),
         "words": list(model.words),
@@ -470,6 +487,9 @@ def load_model(path):
     k = phi.shape[0]
     if thetas.shape != (len(doc_ids), k) or len(set(doc_ids)) != len(doc_ids):
         raise CorruptFile(f"{path}: thetas do not match the header doc ids")
+    error = _distribution_rows_error("phi", phi) or _distribution_rows_error("theta", thetas)
+    if error:
+        raise CorruptFile(f"{path}: {error}")
     model = LdaModel(
         vocab_size=len(words),
         k=k,

@@ -1,15 +1,20 @@
 """Minimal dense-tensor CNN kernels: layers, losses, SGD with momentum.
 
-Everything is plain numpy. Convolution stores its patches channel-major,
-as a (C*k*k, B*OH*OW) matrix built from k*k strided copies of the padded
-input, so forward, weight gradient and patch gradient are one GEMM each
-over the whole batch; its output is the (B, OC, OH, OW) transposed view of
-an (OC, B, OH, OW) array. Max pooling is a running np.maximum over the w*w
-window-offset views; its backward recomputes the first-max mask from the
-cached input and output. Backward passes are exact reverse-mode gradients,
-checkable against central finite differences via gradient_check(). float64
-is the reference precision (all numeric tests run in it); float32 is
-accepted for faster training runs.
+Everything is plain numpy. Convolution builds its patches channel-major,
+as a (C*k*k, B*OH*OW) matrix of k*k strided copies of the padded input, so
+forward and weight gradient are one GEMM each over the whole batch; its
+output is the (B, OC, OH, OW) transposed view of an (OC, B, OH, OW) array.
+A conv layer caches only its (C, B, H+2p, W+2p) padded input. The patch
+matrix, k*k/stride**2 times larger, is freed after the forward GEMM and
+rebuilt in backward for the weight gradient, as Caffe does; the input
+gradient is one (C, OC) x (OC, B*OH*OW) GEMM per kernel tap, added where
+that tap's patches were read. The rebuild costs one more copy of the
+patches per layer and training step. Max pooling is a running np.maximum
+over the w*w window-offset views; its backward recomputes the first-max
+mask from the cached input and output. Backward passes are exact
+reverse-mode gradients, checkable against central finite differences via
+gradient_check(). float64 is the reference precision (all numeric tests
+run in it); float32 is accepted for faster training runs.
 """
 
 from __future__ import annotations
@@ -321,6 +326,17 @@ def params_equal(a, b):
     return True
 
 
+def _patches(xp, layer, oh, ow):
+    """The (C*k*k, B*OH*OW) patch matrix of a channel-major padded input."""
+    k, s = layer.kernel, layer.stride
+    c, b = xp.shape[:2]
+    cols = np.empty((c, k, k, b, oh, ow), dtype=xp.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
+    return cols.reshape(c * k * k, b * oh * ow)
+
+
 def _conv_forward(x, layer, w, bias):
     k, s, p = layer.kernel, layer.stride, layer.pad
     b, c, h, wd = x.shape
@@ -328,33 +344,30 @@ def _conv_forward(x, layer, w, bias):
     ow = (wd + 2 * p - k) // s + 1
     xp = np.zeros((c, b, h + 2 * p, wd + 2 * p), dtype=x.dtype)
     xp[:, :, p : p + h, p : p + wd] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, k, k, b, oh, ow), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
-    cols = cols.reshape(c * k * k, b * oh * ow)
-    out = w.reshape(layer.out_channels, -1) @ cols
+    out = w.reshape(layer.out_channels, -1) @ _patches(xp, layer, oh, ow)
     out += bias[:, None]
-    return out.reshape(layer.out_channels, b, oh, ow).transpose(1, 0, 2, 3), (cols, xp.shape)
+    return out.reshape(layer.out_channels, b, oh, ow).transpose(1, 0, 2, 3), xp
 
 
-def _conv_backward(grad, layer, w, cache, input_grad=True):
-    cols, padded_shape = cache
-    c, b, hp, wp = padded_shape
+def _conv_backward(grad, layer, w, xp, input_grad=True):
+    c, b, hp, wp = xp.shape
     oh, ow = grad.shape[2:]
     g = grad.transpose(1, 0, 2, 3).reshape(layer.out_channels, -1)
-    dw = (g @ cols.T).reshape(w.shape)
+    dw = (g @ _patches(xp, layer, oh, ow).T).reshape(w.shape)
     # Sum each image's map, then add the images in order: the summation
     # order of a reduction over a C-ordered (B, OC, OH, OW) array.
     db = np.ascontiguousarray(g.reshape(layer.out_channels, b, -1).sum(axis=2).T).sum(axis=0)
     if not input_grad:
         return None, dw, db
     k, s, p = layer.kernel, layer.stride, layer.pad
-    dpatches = (w.reshape(layer.out_channels, -1).T @ g).reshape(c, k, k, b, oh, ow)
-    dx = np.zeros(padded_shape, dtype=grad.dtype)
+    # One (C, B*OH*OW) patch-gradient tap at a time, added where its patch
+    # was read, so no (C*k*k, B*OH*OW) gradient exists at once.
+    dx = np.zeros(xp.shape, dtype=grad.dtype)
+    tap = np.empty((c, b * oh * ow), dtype=grad.dtype)
     for i in range(k):
         for j in range(k):
-            dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += dpatches[:, i, j]
+            np.matmul(w[:, :, i, j].T, g, out=tap)
+            dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += tap.reshape(c, b, oh, ow)
     return dx[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3), dw, db
 
 

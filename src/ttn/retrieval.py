@@ -26,7 +26,7 @@ from .errors import (
     EmptyDocument,
     EmptyModality,
 )
-from .fileio import MAGIC_INDEX, read_tensor_file, string_list, write_tensor_file
+from .fileio import MAGIC_INDEX, finite_non_negative, read_tensor_file, string_list, write_tensor_file
 
 MODALITIES = ("text", "image")
 
@@ -40,7 +40,9 @@ def kl_divergence(p, q, epsilon=1e-10):
     """D(p~ || q~) with both arguments smoothed identically.
 
     Zero for identical inputs, positive otherwise (Gibbs' inequality), and
-    finite for any pair of nonnegative vectors thanks to the smoothing.
+    finite for any pair of nonnegative vectors when epsilon > 0. At epsilon 0
+    a term with p = 0 counts 0, and one with p > 0 against q = 0 makes the
+    divergence inf.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -48,8 +50,13 @@ def kl_divergence(p, q, epsilon=1e-10):
         raise DimensionMismatch(f"distributions differ in shape: {p.shape} vs {q.shape}")
     ps = _smooth(p, epsilon)
     qs = _smooth(q, epsilon)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = ps * np.log(ps / qs)
+    # 0 * log(0 / q) is 0 by convention (NaN in floating point); zero
+    # coordinates outlive the smoothing only at epsilon 0
+    terms[ps == 0] = 0.0
     # roundoff can land a hair below zero for near-identical inputs
-    return max(0.0, float(np.sum(ps * np.log(ps / qs))))
+    return max(0.0, float(np.sum(terms)))
 
 
 def symmetric_kl(p, q, epsilon=1e-10):
@@ -91,14 +98,8 @@ class RetrievalIndex:
         return tuple(map(IndexEntry, self.ids, self.modalities, self.matrix, self.payload_refs))
 
 
-def _finite_non_negative(values):
-    """Every value finite and >= 0. A NaN fails min() >= 0, since min and max
-    propagate it, so two reductions check all three conditions."""
-    return values.size == 0 or (values.min() >= 0.0 and values.max() < math.inf)
-
-
 def build_index(entries, epsilon=1e-10):
-    """Validate entries (unique ids, one shared dimension, finite non-negative
+    """Validate entries (unique ids, one shared 1-D shape, finite non-negative
     embeddings) into an index. epsilon must be finite and non-negative, as
     load_index requires."""
     if not 0 <= epsilon < math.inf:  # NaN fails this too
@@ -107,13 +108,15 @@ def build_index(entries, epsilon=1e-10):
     if not entries:
         raise ValueError("entries must be nonempty")
     dim = entries[0].embedding.shape
+    if len(dim) != 1:
+        raise DimensionMismatch(f"entry {entries[0].item_id!r} has shape {dim}, expected a (k,) embedding")
     for entry in entries:
         if entry.embedding.shape != dim:
             raise DimensionMismatch(
                 f"entry {entry.item_id!r} has dim {entry.embedding.shape}, expected {dim}"
             )
     matrix = np.array([e.embedding for e in entries])
-    if not _finite_non_negative(matrix):
+    if not finite_non_negative(matrix):
         raise DataError("index embeddings must be finite and non-negative")
     ids = tuple(e.item_id for e in entries)
     modalities = tuple(e.modality for e in entries)
@@ -145,23 +148,28 @@ def _divergences(p, matrix, numbers, epsilon, symmetric):
     """kl_divergence (or symmetric_kl) of p against matrix[numbers], bit for
     bit: the same smoothing and elementwise terms, each row summed on its own."""
     ps = _smooth(p, epsilon)
+    p_zeros = np.flatnonzero(ps == 0)  # empty unless epsilon is 0
     d = np.empty(len(numbers))
     for start in range(0, len(numbers), _BLOCK_ROWS):
         qs = matrix[numbers[start:start + _BLOCK_ROWS]]  # a fresh C-ordered copy
         qs += epsilon
         qs /= 1.0 + p.size * epsilon
-        terms = ps / qs
-        np.log(terms, out=terms)
-        terms *= ps
-        block = terms.sum(axis=1)
-        # where(x > 0, x, 0) is max(0.0, x): NaN and -0.0 clamp to 0.0 as there
-        block = np.where(block > 0.0, block, 0.0)
-        if symmetric:
-            np.divide(qs, ps, out=terms)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = ps / qs
             np.log(terms, out=terms)
-            terms *= qs
-            reverse = terms.sum(axis=1)
-            block += np.where(reverse > 0.0, reverse, 0.0)
+            terms *= ps
+            terms[:, p_zeros] = 0.0  # 0 * log(0 / q) = 0, as in kl_divergence
+            block = terms.sum(axis=1)
+            # where(x > 0, x, 0) is max(0.0, x): NaN and -0.0 clamp to 0.0 as there
+            block = np.where(block > 0.0, block, 0.0)
+            if symmetric:
+                np.divide(qs, ps, out=terms)
+                np.log(terms, out=terms)
+                terms *= qs
+                if epsilon == 0:  # the only case that leaves a zero in qs
+                    terms[qs == 0] = 0.0
+                reverse = terms.sum(axis=1)
+                block += np.where(reverse > 0.0, reverse, 0.0)
         d[start:start + len(block)] = block
     return d
 
@@ -184,7 +192,7 @@ def query(index, query_embedding, target_modality, top_n=10, symmetric=False):
         raise DimensionMismatch(
             f"query has shape {p.shape}, index entries {index.matrix.shape[1:]}"
         )
-    if not _finite_non_negative(p):
+    if not finite_non_negative(p):
         raise DataError("query embedding must be finite and non-negative")
     d = _divergences(p, index.matrix, numbers, index.epsilon, symmetric)
     n = min(top_n, len(ids))
@@ -280,7 +288,7 @@ def load_index(path):
     matrix = arrays[0]
     if not 0 < matrix.shape[0] == len(ids) == len(modalities) == len(payload_refs):
         raise CorruptFile(f"{path}: header lists do not match the {matrix.shape[0]} embedding rows")
-    if not _finite_non_negative(matrix):
+    if not finite_non_negative(matrix):
         raise CorruptFile(f"{path}: index embeddings must be finite and non-negative")
     return _index(ids, modalities, payload_refs, epsilon, matrix)
 

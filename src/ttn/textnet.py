@@ -26,6 +26,7 @@ from . import nn
 from .errors import (
     CorruptFile,
     CropTooLarge,
+    DataError,
     NoPairs,
     NonFiniteLoss,
     ShapeMismatch,
@@ -360,9 +361,26 @@ def fine_tune(checkpoint, labeled_pairs, n_classes, sgd_cfg, seed, aug_cfg=None,
     return make_ckpt(sgd_cfg.max_iters), history
 
 
+def _non_finite_tensor(spec, params):
+    """The name of the first parameter tensor holding NaN or inf, else None."""
+    for name, p in zip(spec.layer_names(), params):
+        if p is None:
+            continue
+        parts = {"weight": p.weight, "bias": p.bias, "weight momentum": p.weight_momentum,
+                 "bias momentum": p.bias_momentum}
+        for part, tensor in parts.items():
+            if not np.isfinite(tensor).all():
+                return f"{name} {part}"
+    return None
+
+
 def save_checkpoint(checkpoint, path):
     """Tensor container: JSON header, then (weight, bias, weight momentum,
-    bias momentum) of every parameter layer in spec order."""
+    bias momentum) of every parameter layer in spec order. A NaN or inf
+    tensor, which load_checkpoint would refuse, raises DataError."""
+    bad = _non_finite_tensor(checkpoint.spec, checkpoint.params)
+    if bad:
+        raise DataError(f"refusing to save the checkpoint: {bad} is not finite")
     header = {
         "spec": checkpoint.spec.to_dict(),
         "iteration": checkpoint.iteration,
@@ -395,6 +413,9 @@ def load_checkpoint(path):
         raise CorruptFile(f"{path}: stored tensors do not match the spec's parameter shapes")
     tensors = iter(arrays)
     params = [None if layer is None else nn.LayerParams(*islice(tensors, 4)) for layer in shapes]
+    bad = _non_finite_tensor(spec, params)
+    if bad:
+        raise CorruptFile(f"{path}: {bad} is not finite")
     return Checkpoint(
         spec=spec,
         params=params,

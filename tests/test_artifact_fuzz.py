@@ -8,7 +8,9 @@ subclass, never anything else.
 
 from __future__ import annotations
 
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -197,3 +199,72 @@ def test_valid_files_load(valid_files):
     root, _ = valid_files
     for kind, (_, load) in KINDS.items():
         load(os.path.join(root, kind))
+
+
+def _set_one(arrays, tensor, pos, value):
+    flat = arrays[tensor % len(arrays)].reshape(-1)  # a view: the arrays are contiguous
+    flat[pos % flat.size] = value
+
+
+def _model_with(tensor, pos, value):
+    model = _model()
+    _set_one([model.phi] + list(model.doc_thetas.values()), tensor, pos, value)
+    return model
+
+
+def _checkpoint_with(tensor, pos, value):
+    checkpoint = _checkpoint()
+    tensors = [t for p in checkpoint.params if p is not None
+               for t in (p.weight, p.bias, p.weight_momentum, p.bias_momentum)]
+    _set_one(tensors, tensor, pos, value)
+    return checkpoint
+
+
+def _index_with(tensor, pos, value, epsilon):
+    rows = list(np.random.default_rng(1).dirichlet(np.ones(3), size=4))
+    _set_one(rows, tensor, pos, value)
+    entries = [retrieval.IndexEntry(f"item{i}", ("text", "image")[i % 2], row) for i, row in enumerate(rows)]
+    return retrieval.build_index(entries, epsilon=epsilon)
+
+
+def _features_with(tensor, pos, value):
+    items = [(f"f{i}", np.arange(3.0) + i) for i in range(3)]
+    _set_one([vector for _, vector in items], tensor, pos, value)
+    return items
+
+
+TENSOR_WRITERS = {
+    "model": (lambda path, t, i, v, e: lda.save_model(_model_with(t, i, v), path), lda.load_model),
+    "checkpoint": (
+        lambda path, t, i, v, e: textnet.save_checkpoint(_checkpoint_with(t, i, v), path),
+        textnet.load_checkpoint,
+    ),
+    "index": (lambda path, t, i, v, e: retrieval.save_index(_index_with(t, i, v, e), path), retrieval.load_index),
+    "features": (
+        lambda path, t, i, v, e: evaluate.save_features(_features_with(t, i, v), path, "fc7"),
+        evaluate.load_features,
+    ),
+}
+
+
+# One value of one tensor is replaced before the artifact is built and
+# written: probabilities, values off the simplex, and non-finite values.
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(sorted(TENSOR_WRITERS)),
+    tensor=st.integers(0, 20),
+    pos=st.integers(0, 2**16),
+    value=st.sampled_from([0.0, -0.0, 0.3, 1.0, 2.5, -0.5, 1e-300, math.nan, math.inf, -math.inf]),
+    epsilon=st.sampled_from([0.0, 1e-10, -1.0, math.nan]),
+)
+def test_every_writer_output_loads(kind, tensor, pos, value, epsilon):
+    # A writer either refuses with DataError or writes what its reader loads.
+    save, load = TENSOR_WRITERS[kind]
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, kind)
+        try:
+            save(path, tensor, pos, value, epsilon)
+        except DataError:
+            assert not os.path.exists(path)
+            return
+        load(path)

@@ -285,6 +285,25 @@ def test_query_rejects_index_with_negative_embedding_exits_3(workspace, tmp_path
     assert "CorruptFile" in capsys.readouterr().err
 
 
+def _with_first_payload_value(path, value, out):
+    raw = bytearray(open(path, "rb").read())
+    payload_start = 16 + int.from_bytes(raw[8:16], "little")  # magic, header length, header
+    raw[payload_start:payload_start + 8] = np.float64(value).tobytes()
+    out.write_bytes(bytes(raw))
+    return str(out)
+
+
+def test_non_finite_model_or_checkpoint_exits_3(workspace, tmp_path, capsys):
+    # phi[0, 0] and conv1's first weight
+    bad_model = _with_first_payload_value(workspace["model"], np.nan, tmp_path / "model.lda")
+    assert main(["lda", "topics", bad_model]) == 3
+    assert "phi rows must be finite and non-negative" in capsys.readouterr().err
+    bad_ckpt = _with_first_payload_value(workspace["ckpt"], np.inf, tmp_path / "net.ckpt")
+    argv = ["net", "features", bad_ckpt, workspace["corpus"], "--layer", "fc7", "-o", str(tmp_path / "f.bin")]
+    assert main(argv) == 3
+    assert "conv1 weight is not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("reader", ["labels", "scores"])
 def test_overlong_csv_field_exits_3(workspace, tmp_path, capsys, reader):
     # Past the csv module's 131072-character field limit.

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from ttn import lda as L
 from ttn.corpus import BowDocument, RawDocument
-from ttn.errors import CorruptFile, EmptyDocument, FormatVersionMismatch
+from ttn.errors import CorruptFile, DataError, EmptyDocument, FormatVersionMismatch
+from ttn.fileio import MAGIC_LDA, read_tensor_file, write_tensor_file
 
 WORDS8 = tuple("abcdefgh"[i] * 3 for i in range(8))  # aaa, bbb, ...
 
@@ -412,6 +413,37 @@ def test_model_roundtrip_without_docs(tmp_path, planted_model):
     assert loaded.doc_thetas == {}
     assert loaded.phi.tobytes() == model.phi.tobytes()
     assert loaded.content_hash() == model.content_hash()
+
+
+@pytest.mark.parametrize(
+    "tensor, value, message",
+    [
+        (0, math.nan, "finite and non-negative"),
+        (0, -0.25, "finite and non-negative"),
+        (0, math.inf, "finite and non-negative"),
+        (0, 0.5, "sum to 1"),
+        (1, math.nan, "finite and non-negative"),
+        (1, 0.0, "sum to 1"),
+    ],
+    ids=["phi-nan", "phi-negative", "phi-inf", "phi-sum", "theta-nan", "theta-sum"],
+)
+def test_model_rows_must_be_distributions(tmp_path, planted_model, tensor, value, message):
+    _, model = planted_model
+    path = str(tmp_path / "model.lda")
+    L.save_model(model, path)
+    header, arrays = read_tensor_file(path, MAGIC_LDA)
+    del header["shapes"]
+    arrays[tensor][0, 0] = value
+    write_tensor_file(path, MAGIC_LDA, header, arrays)
+    with pytest.raises(CorruptFile, match=message):
+        L.load_model(path)
+    bad = L.LdaModel(
+        vocab_size=model.vocab_size, k=model.k, phi=arrays[0], hyper=model.hyper,
+        doc_thetas=dict(zip(header["doc_ids"], arrays[1])), words=model.words,
+    )
+    with pytest.raises(DataError, match=message):
+        L.save_model(bad, str(tmp_path / "refused.lda"))
+    assert not (tmp_path / "refused.lda").exists()
 
 
 def test_doc_theta_stored_inferred_or_none(planted_model):

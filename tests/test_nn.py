@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -671,3 +672,35 @@ def test_backward_skips_first_layer_input_gradient_without_changing_grads(monkey
     for a, b in zip(skipped, computed):
         if a is not None:
             assert _bits(a[0]) == _bits(b[0]) and _bits(a[1]) == _bits(b[1])
+
+
+def test_train_step_memory_keeps_no_patch_matrix():
+    # A conv layer keeps its padded input for backward and rebuilds the
+    # patches there; the k*k-times-larger patch matrix of both conv layers
+    # (33 MiB at batch 64) must not outlive its GEMM.
+    spec = nn.tiny_topic_net(3)
+    params = nn.init_params(spec, seed=0)
+    rng = np.random.default_rng(0)
+    batch_size = 64
+    batch = rng.random((batch_size,) + spec.in_shape)
+    grad_logits = rng.standard_normal((batch_size, spec.out_dim))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, cache = nn.forward(spec, params, batch)
+        nn.backward(spec, params, cache, grad_logits)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 70 * 2**20, f"forward+backward peaked at {peak / 2**20:.1f} MiB"
+    _, layer_caches = cache
+    for layer, (_, local), in_shape in zip(spec.layers, layer_caches, [spec.in_shape] + spec.shapes()[:-1]):
+        if isinstance(layer, nn.Conv2d):
+            c, h, w = in_shape
+            padded = batch_size * c * (h + 2 * layer.pad) * (w + 2 * layer.pad) * batch.itemsize
+            kept = [a for a in (local if isinstance(local, tuple) else (local,)) if isinstance(a, np.ndarray)]
+            assert kept and max(a.nbytes for a in kept) <= padded

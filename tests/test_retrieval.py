@@ -57,6 +57,24 @@ def test_kl_finite_with_zeros_either_side():
     assert math.isfinite(retrieval.kl_divergence(b, a))
 
 
+def test_kl_zero_epsilon_uses_zero_log_zero():
+    # 0 * log(0 / q) counts 0, and p > 0 against q = 0 is infinitely far
+    p = np.array([1.0, 0.0])
+    assert retrieval.kl_divergence(p, np.array([0.9, 0.1]), epsilon=0.0) == math.log(1 / 0.9)
+    assert retrieval.kl_divergence(p, np.array([0.1, 0.9]), epsilon=0.0) == math.log(10)
+    assert retrieval.kl_divergence(np.array([0.5, 0.5]), p, epsilon=0.0) == math.inf
+    assert retrieval.symmetric_kl(p, np.array([0.1, 0.9]), epsilon=0.0) == math.inf
+
+
+def test_query_zero_epsilon_ranks_by_divergence():
+    index = retrieval.build_index(_two_dim_entries((0.1, 0.9)), epsilon=0.0)
+    assert retrieval.query(index, [1.0, 0.0], "image") == [
+        ("exact", math.log(1 / 0.9)), ("other", math.log(10))
+    ]
+    assert retrieval.query(index, [1.0, 0.0], "image", symmetric=True) == [("exact", math.inf), ("other", math.inf)]
+    assert retrieval.query(index, [0.9, 0.1], "image", symmetric=True)[0] == ("exact", 0.0)
+
+
 def test_kl_is_asymmetric():
     p = np.array([0.9, 0.1])
     q = np.array([0.5, 0.5])
@@ -258,6 +276,13 @@ def test_build_index_rejects_duplicates_and_mixed_dims():
         )
     with pytest.raises(ValueError):
         retrieval.build_index([])
+
+
+def test_build_index_rejects_scalar_embeddings():
+    # save_index would write a 1-D matrix that load_index refuses
+    for embedding in (0.5, [[0.5, 0.5]]):
+        with pytest.raises(DimensionMismatch, match="expected a \\(k,\\) embedding"):
+            retrieval.build_index([retrieval.IndexEntry("a", "image", np.array(embedding))])
 
 
 # Rows that are not probabilities; each used to rank at divergence 0.0.

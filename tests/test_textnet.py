@@ -11,7 +11,7 @@ import pytest
 from ttn import corpus as corpus_mod
 from ttn import lda as lda_mod
 from ttn import nn, textnet
-from ttn.errors import CorruptFile, CropTooLarge, NoPairs, ShapeMismatch, UnknownLayer
+from ttn.errors import CorruptFile, CropTooLarge, DataError, NoPairs, ShapeMismatch, UnknownLayer
 from ttn.fileio import MAGIC_NET, read_tensor_file, write_tensor_file
 
 
@@ -281,6 +281,23 @@ def test_intermediate_checkpoints_resume_exactly(tmp_path):
 
 
 # ------------------------------------------------------------------ inference
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_checkpoint_tensors_must_be_finite(tmp_path, value):
+    checkpoint = _zero_head_checkpoint()
+    path = str(tmp_path / "net.ckpt")
+    textnet.save_checkpoint(checkpoint, path)
+    header, arrays = read_tensor_file(path, MAGIC_NET)
+    del header["shapes"]
+    arrays[0][0, 0, 0, 0] = value  # conv1's weight
+    write_tensor_file(path, MAGIC_NET, header, arrays)
+    with pytest.raises(CorruptFile, match="conv1 weight is not finite"):
+        textnet.load_checkpoint(path)
+    checkpoint.params[-1].bias_momentum[1] = value
+    with pytest.raises(DataError, match="fc1 bias momentum is not finite"):
+        textnet.save_checkpoint(checkpoint, str(tmp_path / "refused.ckpt"))
+    assert not (tmp_path / "refused.ckpt").exists()
+
 
 def _zero_head_checkpoint(k=4, side=8):
     spec = nn.NetSpec(
