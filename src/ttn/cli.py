@@ -3,8 +3,7 @@
 Subcommands mirror the pipeline stages: synth, vocab build, lda train/topics/
 infer, net train/embed/features, index build, query, and eval svm/map/sweep.
 Every output file is written atomically and every run is fully determined by
-its flags, config file, and seeds; TTN_THREADS caps worker parallelism where
-any exists (image decoding).
+its flags, config file, and seeds.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error.
 """
@@ -207,6 +206,8 @@ def _is_json_type(value, kind):
 def _check_run_config(cfg, path):
     """Raise CorruptFile unless "sgd" and "augment" are objects holding only
     fields of their dataclasses, and every value has its field's type."""
+    if not isinstance(cfg.get("spec", ""), (str, dict)):
+        raise CorruptFile(f"{path}: run config spec must be a JSON string or object, got {cfg['spec']!r}")
     checks = [(key, cfg[key], kind) for key, kind in _RUN_CONFIG_TYPES.items() if key in cfg]
     for section, cls in (("sgd", nn.SgdConfig), ("augment", textnet.AugmentConfig)):
         values = cfg.get(section, {})
@@ -429,12 +430,12 @@ def cmd_eval_svm(args):
     class_ids = sorted({c for d in train_data for c in d.labels})
     if args.val_features:
         val_data = _labeled_features(args.val_features, args.val_labels or args.labels)
-        lam = args.lam or evaluate_mod.select_lambda(
-            train_data, val_data, class_ids, epochs=args.epochs, seed=args.seed
-        )
+        lam = args.lam
+        if lam is None:
+            lam = evaluate_mod.select_lambda(train_data, val_data, class_ids, epochs=args.epochs, seed=args.seed)
         eval_data = val_data
     else:
-        lam = args.lam or evaluate_mod.DEFAULT_LAMBDA
+        lam = evaluate_mod.DEFAULT_LAMBDA if args.lam is None else args.lam
         eval_data = train_data
     svms = evaluate_mod.train_one_vs_rest(
         train_data, class_ids, lam=lam, epochs=args.epochs, seed=args.seed
@@ -513,12 +514,8 @@ def cmd_eval_sweep(args):
 
     else:  # net: train a topic-regression net per k and score held-out image purity
         image_root = args.image_root or os.path.dirname(os.path.abspath(args.corpus))
-        sgd_cfg = nn.SgdConfig(
-            base_lr=args.base_lr or 0.01,
-            batch_size=args.batch_size or 32,
-            max_iters=args.net_iters,
-        )
-        aug_cfg = textnet.AugmentConfig(crop_size=args.crop_size or 32, seed=hyper.seed)
+        sgd_cfg = nn.SgdConfig(base_lr=args.base_lr, batch_size=args.batch_size, max_iters=args.net_iters)
+        aug_cfg = textnet.AugmentConfig(crop_size=args.crop_size, seed=hyper.seed)
 
         def closure(k, model):
             pairs = textnet.make_pairs(train_docs, model, image_root)
@@ -552,7 +549,7 @@ def build_parser():
         prog="ttn",
         description="Topic-supervised visual features at desk scale: train an LDA "
         "topic model over paired text, regress images onto its topic space, and "
-        "retrieve or evaluate across modalities. TTN_THREADS caps worker threads.",
+        "retrieve or evaluate across modalities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -714,9 +711,9 @@ def build_parser():
     p.add_argument("--stopwords")
     p.add_argument("--image-root", default=None)
     p.add_argument("--net-iters", type=int, default=300)
-    p.add_argument("--base-lr", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--crop-size", type=int, default=None)
+    p.add_argument("--base-lr", type=float, default=0.01)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--crop-size", type=int, default=32)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_eval_sweep)
 

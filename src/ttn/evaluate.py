@@ -72,8 +72,8 @@ def svm_train(data, class_id, lam=DEFAULT_LAMBDA, epochs=20, seed=0):
     """
     if not data:
         raise ValueError("data must be nonempty")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0 < lam < math.inf:  # NaN fails this too
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     x = l2_normalize(np.stack([d.feature for d in data]))
     y = np.asarray([1.0 if class_id in d.labels else -1.0 for d in data])
     if len(set(y.tolist())) < 2:
@@ -216,10 +216,15 @@ def select_lambda(train_data, val_data, class_ids, lambdas=LAMBDA_GRID, epochs=2
 
 
 def save_features(items, path, layer=""):
-    """Write (item_id, vector) pairs into the shared tensor container."""
+    """Write (item_id, vector) pairs into the shared tensor container. An
+    empty list, or vectors that are not all 1-D of one length, which
+    load_features would refuse, raise DataError before anything is written."""
     ids = [item_id for item_id, _ in items]
-    matrix = np.stack([np.asarray(v, dtype=np.float64) for _, v in items])
-    write_tensor_file(path, MAGIC_FEATURES, {"item_ids": ids, "layer": layer}, [matrix])
+    vectors = [np.asarray(v, dtype=np.float64) for _, v in items]
+    shapes = sorted({v.shape for v in vectors})
+    if len(shapes) != 1 or len(shapes[0]) != 1:
+        raise DataError(f"features must be a nonempty list of 1-D vectors of one length, got shapes {shapes}")
+    write_tensor_file(path, MAGIC_FEATURES, {"item_ids": ids, "layer": layer}, [np.stack(vectors)])
 
 
 def load_features(path):

@@ -27,16 +27,6 @@ MAGIC_FEATURES = b"TTNFEA1\x00"
 MAGIC_INDEX = b"TTNIDX1\x00"
 
 
-def ttn_threads():
-    """Worker cap from the TTN_THREADS environment variable (default 1)."""
-    raw = os.environ.get("TTN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DataError(f"TTN_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
 @contextlib.contextmanager
 def atomic_write(path, mode="wb"):
     """Write to a temp file in the target directory, then rename into place.

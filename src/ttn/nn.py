@@ -13,8 +13,10 @@ patches per layer and training step. Max pooling is a running np.maximum
 over the w*w window-offset views; its backward recomputes the first-max
 mask from the cached input and output. Backward passes are exact
 reverse-mode gradients, checkable against central finite differences via
-gradient_check(). float64 is the reference precision (all numeric tests
-run in it); float32 is accepted for faster training runs.
+gradient_check(). Training and inference run in float64. The kernels
+keep the dtype they are given, so float32 parameters from
+init_params(dtype=np.float32) run through them too; the kernel tests check
+both precisions against a reference implementation.
 """
 
 from __future__ import annotations
@@ -245,8 +247,8 @@ class SgdConfig:
     max_iters: int = 120_000
 
     def __post_init__(self):
-        if self.base_lr <= 0 or not 0 < self.lr_decay <= 1:
-            raise ValueError("base_lr must be positive and lr_decay in (0, 1]")
+        if not 0 < self.base_lr < math.inf or not 0 < self.lr_decay <= 1:  # NaN fails both
+            raise ValueError("base_lr must be finite and positive and lr_decay in (0, 1]")
         if self.lr_step < 1 or self.batch_size < 1 or self.max_iters < 0:
             raise ValueError("lr_step and batch_size must be >= 1, max_iters >= 0")
         if not 0 <= self.momentum < 1:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import islice
 
@@ -31,7 +30,7 @@ from .errors import (
     NonFiniteLoss,
     ShapeMismatch,
 )
-from .fileio import MAGIC_NET, decode_image, read_tensor_file, ttn_threads, write_tensor_file
+from .fileio import MAGIC_NET, decode_image, read_tensor_file, write_tensor_file
 
 log = logging.getLogger(__name__)
 
@@ -84,7 +83,7 @@ def make_pairs(docs, model, image_root, infer_missing=False, infer_seed=0):
     without a stored theta (unless infer_missing covers them), are skipped
     with a warning; if nothing survives, NoPairs is raised.
     """
-    jobs = []
+    pairs = []
     for doc in sorted(docs, key=lambda d: d.doc_id):
         if infer_missing:
             theta = lda_mod.doc_theta(model, doc, seed=infer_seed)
@@ -94,24 +93,12 @@ def make_pairs(docs, model, image_root, infer_missing=False, infer_seed=0):
             log.warning("doc %s: no stored theta and none inferred, skipped", doc.doc_id)
             continue
         for rel_path in doc.image_paths:
-            jobs.append((doc.doc_id, theta, os.path.join(image_root, rel_path)))
-
-    def decode(job):
-        doc_id, theta, path = job
-        try:
-            return TrainingPair(image=decode_image(path), target=np.asarray(theta, dtype=np.float64), doc_id=doc_id)
-        except Exception as exc:  # noqa: BLE001 - any per-image failure is just a skip
-            log.warning("skipping image %s: %s", path, exc)
-            return None
-
-    workers = ttn_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            decoded = list(pool.map(decode, jobs))  # map preserves order
-    else:
-        decoded = [decode(j) for j in jobs]
-
-    pairs = [p for p in decoded if p is not None]
+            path = os.path.join(image_root, rel_path)
+            try:
+                pairs.append(TrainingPair(image=decode_image(path), target=np.asarray(theta, dtype=np.float64),
+                                          doc_id=doc.doc_id))
+            except Exception as exc:  # noqa: BLE001 - any per-image failure is just a skip
+                log.warning("skipping image %s: %s", path, exc)
     if not pairs:
         raise NoPairs("no (image, theta) pair could be built")
     return pairs
@@ -148,7 +135,20 @@ def _pair_index(seed, n, position, perm_cache):
     return int(perm_cache[epoch][offset])
 
 
-def _check_geometry(spec, pairs, aug_cfg):
+def _train(pairs, start, loss_fn, sgd_cfg, aug_cfg, seed, lda_model_hash, checkpoint_every, checkpoint_dir):
+    """The SGD loop behind train and fine_tune.
+
+    Continues `start` (its spec, parameters and iteration) up to
+    sgd_cfg.max_iters on a copy of its parameters, so `start` is left as it
+    was. Every checkpoint_every iterations short of the end it writes
+    ckpt_<iteration>.ckpt into checkpoint_dir. Returns (final checkpoint,
+    history) where history rows are (iteration, learning rate, loss).
+    """
+    if not pairs:
+        raise NoPairs("pairs must be nonempty")
+    if start.iteration > sgd_cfg.max_iters:
+        raise ValueError(f"start checkpoint is at iteration {start.iteration}, past max_iters {sgd_cfg.max_iters}")
+    spec = start.spec
     in_c, in_h, in_w = spec.in_shape
     if in_h != in_w:
         raise ShapeMismatch(f"net input must be square, got {spec.in_shape}")
@@ -162,15 +162,21 @@ def _check_geometry(spec, pairs, aug_cfg):
             )
         if aug_cfg is not None and min(h, w) < aug_cfg.crop_size:
             raise CropTooLarge(f"doc {pair.doc_id!r}: image {h}x{w} smaller than crop")
+        if pair.target.shape != (spec.out_dim,):
+            raise ShapeMismatch(f"doc {pair.doc_id!r}: target dim {pair.target.shape} != net out {spec.out_dim}")
 
+    params = nn.copy_params(start.params)
+    targets = np.stack([p.target for p in pairs]).astype(np.float64)
 
-def _training_run(pairs, spec, params, loss_fn, sgd_cfg, aug_cfg, seed, start_iter, dtype, targets,
-                  checkpoint_every=None, checkpoint_dir=None, make_ckpt=None):
+    def checkpoint(iteration):
+        return Checkpoint(spec=spec, params=params, iteration=iteration, sgd=sgd_cfg, seed=seed,
+                          lda_model_hash=lda_model_hash)
+
     n = len(pairs)
     batch = sgd_cfg.batch_size
     history = []
     perm_cache = {}
-    for iteration in range(start_iter, sgd_cfg.max_iters):
+    for iteration in range(start.iteration, sgd_cfg.max_iters):
         idx = [_pair_index(seed, n, iteration * batch + j, perm_cache) for j in range(batch)]
         if aug_cfg is None:
             views = [pairs[i].image for i in idx]
@@ -178,85 +184,47 @@ def _training_run(pairs, spec, params, loss_fn, sgd_cfg, aug_cfg, seed, start_it
             views = [
                 augment(pairs[i].image, aug_cfg, iteration * batch + j) for j, i in enumerate(idx)
             ]
-        x = np.stack(views).astype(dtype, copy=False)
-        t = targets[idx]
+        x = np.stack(views).astype(np.float64, copy=False)
         logits, cache = nn.forward(spec, params, x)
-        loss, grad_logits = loss_fn(logits.astype(np.float64, copy=False), t)
+        loss, grad_logits = loss_fn(logits, targets[idx])
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss became non-finite at iteration {iteration}")
-        grads = nn.backward(spec, params, cache, grad_logits.astype(dtype, copy=False))
+        grads = nn.backward(spec, params, cache, grad_logits)
         nn.sgd_step(params, grads, sgd_cfg, iteration)
         history.append((iteration, nn.learning_rate(sgd_cfg, iteration), loss))
         done = iteration + 1
-        if checkpoint_every and checkpoint_dir and (done % checkpoint_every == 0) and done < sgd_cfg.max_iters:
-            save_checkpoint(make_ckpt(done), os.path.join(checkpoint_dir, f"ckpt_{done:06d}.ckpt"))
-    return history
+        if checkpoint_every and checkpoint_dir and done % checkpoint_every == 0 and done < sgd_cfg.max_iters:
+            save_checkpoint(checkpoint(done), os.path.join(checkpoint_dir, f"ckpt_{done:06d}.ckpt"))
+    return checkpoint(sgd_cfg.max_iters), history
 
 
-def train(pairs, spec, sgd_cfg, aug_cfg, seed, *, start=None, dtype=np.float64,
-          checkpoint_every=None, checkpoint_dir=None, lda_model_hash=""):
+def train(pairs, spec, sgd_cfg, aug_cfg, seed, *, start=None, checkpoint_every=None, checkpoint_dir=None,
+          lda_model_hash=""):
     """Train from scratch (or resume from `start`) on topic-regression pairs.
 
     Returns (final checkpoint, history) where history rows are
     (iteration, learning rate, loss). With max_iters == 0 the returned
-    parameters equal the seeded initialization bit for bit.
+    parameters equal the seeded initialization bit for bit. A `start` past
+    sgd_cfg.max_iters raises ValueError.
     """
-    if not pairs:
-        raise NoPairs("pairs must be nonempty")
-    _check_geometry(spec, pairs, aug_cfg)
-    k = spec.out_dim
-    for pair in pairs:
-        if pair.target.shape != (k,):
-            raise ShapeMismatch(f"doc {pair.doc_id!r}: target dim {pair.target.shape} != net out {k}")
-
-    if start is not None:
-        if start.spec != spec:
-            raise ShapeMismatch("resume checkpoint was trained with a different spec")
-        params = [
-            None if p is None else nn.LayerParams(
-                p.weight.astype(dtype), p.bias.astype(dtype),
-                p.weight_momentum.astype(dtype), p.bias_momentum.astype(dtype),
-            )
-            for p in start.params
-        ]
-        start_iter = start.iteration
-    else:
-        params = nn.init_params(spec, seed, dtype)
-        start_iter = 0
-
-    targets = np.stack([p.target for p in pairs]).astype(np.float64)
-
-    def make_ckpt(iteration):
-        return Checkpoint(
-            spec=spec,
-            params=nn.copy_params(params),
-            iteration=iteration,
-            sgd=sgd_cfg,
-            seed=seed,
-            lda_model_hash=lda_model_hash,
-        )
-
-    history = _training_run(
-        pairs, spec, params, nn.sigmoid_cross_entropy, sgd_cfg, aug_cfg, seed, start_iter,
-        dtype, targets, checkpoint_every, checkpoint_dir, make_ckpt,
-    )
-    return make_ckpt(sgd_cfg.max_iters), history
-
-
-_DETERMINISTIC_VIEWS = ("center", "tl", "tr", "bl", "br")
+    if start is None:
+        start = Checkpoint(spec=spec, params=nn.init_params(spec, seed), iteration=0, sgd=sgd_cfg, seed=seed)
+    elif start.spec != spec:
+        raise ShapeMismatch("resume checkpoint was trained with a different spec")
+    return _train(pairs, start, nn.sigmoid_cross_entropy, sgd_cfg, aug_cfg, seed, lda_model_hash,
+                  checkpoint_every, checkpoint_dir)
 
 
 def _crop_at(image, top, left, size):
     return image[:, top : top + size, left : left + size]
 
 
-def predict_topics(checkpoint, image, n_crops=10, random_crops=False, seed=0):
+def predict_topics(checkpoint, image, n_crops=10):
     """Topic distribution for one image: sigmoid logits averaged over crops.
 
-    The default views are deterministic: center and the four corners, then
-    the same five mirrored, in that order; n_crops takes a prefix of the ten.
-    random_crops switches to seeded random views instead, in which case
-    n_crops may exceed ten. The averaged activations are renormalized to
+    The views are the center crop and the four corner crops, then the same
+    five mirrored, in that order; n_crops takes a prefix of these ten (all
+    ten when it is larger). The averaged activations are renormalized to
     sum to one.
     """
     if n_crops < 1:
@@ -266,30 +234,10 @@ def predict_topics(checkpoint, image, n_crops=10, random_crops=False, seed=0):
     c, h, w = image.shape
     if min(h, w) < size:
         raise CropTooLarge(f"image {h}x{w} smaller than net input {size}")
-
-    views = []
-    if random_crops:
-        cfg = AugmentConfig(crop_size=size, mirror_prob=0.5, seed=seed)
-        views = [augment(image, cfg, i) for i in range(n_crops)]
-    else:
-        n_crops = min(n_crops, 10)
-        positions = {
-            "center": ((h - size) // 2, (w - size) // 2),
-            "tl": (0, 0),
-            "tr": (0, w - size),
-            "bl": (h - size, 0),
-            "br": (h - size, w - size),
-        }
-        for mirrored in (False, True):
-            for name in _DETERMINISTIC_VIEWS:
-                top, left = positions[name]
-                view = _crop_at(image, top, left, size)
-                if mirrored:
-                    view = view[:, :, ::-1]
-                views.append(view)
-        views = views[:n_crops]
-
-    x = np.ascontiguousarray(np.stack(views), dtype=np.float64)
+    corners = [((h - size) // 2, (w - size) // 2), (0, 0), (0, w - size), (h - size, 0), (h - size, w - size)]
+    views = [_crop_at(image, top, left, size) for top, left in corners]
+    views += [view[:, :, ::-1] for view in views]
+    x = np.ascontiguousarray(np.stack(views[:n_crops]), dtype=np.float64)
     logits, _ = nn.forward(spec, checkpoint.params, x)
     mean_act = nn.sigmoid(logits).mean(axis=0)
     return mean_act / mean_act.sum()
@@ -309,7 +257,7 @@ def extract_features(checkpoint, image, layer_name):
     return nn.layer_outputs(cache)[index].reshape(-1).copy()
 
 
-def fine_tune(checkpoint, labeled_pairs, n_classes, sgd_cfg, seed, aug_cfg=None, dtype=np.float64):
+def fine_tune(checkpoint, labeled_pairs, n_classes, sgd_cfg, seed, aug_cfg=None):
     """Swap the final dense layer for a fresh n_classes head and train with
     softmax cross-entropy. Trunk weights start from the checkpoint (with
     momentum reset); the head is re-initialized from `seed`.
@@ -317,8 +265,6 @@ def fine_tune(checkpoint, labeled_pairs, n_classes, sgd_cfg, seed, aug_cfg=None,
     labeled_pairs reuse TrainingPair with one-hot class targets. Returns
     (checkpoint, history).
     """
-    if not labeled_pairs:
-        raise NoPairs("labeled_pairs must be nonempty")
     spec = checkpoint.spec
     if not isinstance(spec.layers[-1], nn.Dense):
         raise ShapeMismatch("fine-tuning expects a net ending in a dense layer")
@@ -327,38 +273,13 @@ def fine_tune(checkpoint, labeled_pairs, n_classes, sgd_cfg, seed, aug_cfg=None,
         layers=spec.layers[:-1] + (nn.Dense(n_classes, name=spec.layers[-1].name),),
         aliases=dict(spec.aliases),
     )
-    _check_geometry(new_spec, labeled_pairs, aug_cfg)
-    for pair in labeled_pairs:
-        if pair.target.shape != (n_classes,):
-            raise ShapeMismatch(f"label vector {pair.target.shape} != ({n_classes},)")
-
-    params = nn.init_params(new_spec, seed, dtype)
+    params = nn.init_params(new_spec, seed)
     for i, p in enumerate(checkpoint.params[:-1]):
         if p is not None:
-            params[i] = nn.LayerParams(
-                p.weight.astype(dtype).copy(),
-                p.bias.astype(dtype).copy(),
-                np.zeros_like(p.weight, dtype=dtype),
-                np.zeros_like(p.bias, dtype=dtype),
-            )
-
-    targets = np.stack([p.target for p in labeled_pairs]).astype(np.float64)
-
-    def make_ckpt(iteration):
-        return Checkpoint(
-            spec=new_spec,
-            params=nn.copy_params(params),
-            iteration=iteration,
-            sgd=sgd_cfg,
-            seed=seed,
-            lda_model_hash=checkpoint.lda_model_hash,
-        )
-
-    history = _training_run(
-        labeled_pairs, new_spec, params, nn.softmax_cross_entropy, sgd_cfg, aug_cfg, seed, 0,
-        dtype, targets,
-    )
-    return make_ckpt(sgd_cfg.max_iters), history
+            params[i] = nn.LayerParams(p.weight, p.bias, np.zeros_like(p.weight), np.zeros_like(p.bias))
+    start = Checkpoint(spec=new_spec, params=params, iteration=0, sgd=sgd_cfg, seed=seed)
+    return _train(labeled_pairs, start, nn.softmax_cross_entropy, sgd_cfg, aug_cfg, seed,
+                  checkpoint.lda_model_hash, None, None)
 
 
 def _non_finite_tensor(spec, params):

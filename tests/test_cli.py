@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +204,20 @@ def test_eval_svm_report(workspace, capsys):
     assert float(summary["lambda"]) == pytest.approx(1e-3)
 
 
+@pytest.mark.parametrize(
+    "lam, with_val",
+    [("0", False), ("0", True), ("-1", False), ("nan", False), ("nan", True), ("inf", False)],
+    ids=["zero", "zero-with-val", "negative", "nan", "nan-with-val", "inf"],
+)
+def test_eval_svm_rejects_lambda_not_finite_and_positive(workspace, capsys, lam, with_val):
+    labels = os.path.join(workspace["data"], "image_labels.csv")
+    argv = ["eval", "svm", "--features", workspace["features"], "--labels", labels, f"--lambda={lam}"]
+    if with_val:
+        argv += ["--val-features", workspace["features"]]
+    assert main(argv) == 3
+    assert "lam must be finite and positive" in capsys.readouterr().err
+
+
 def test_eval_map_from_csv(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     scores.write_text(
@@ -259,6 +276,16 @@ def test_eval_sweep_rejects_val_fraction_outside_half(workspace, capsys, fractio
         f"--val-fraction={fraction}",
     ]) == 3
     assert "DataError: --val-fraction must be in (0, 0.5]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--base-lr=0", "--base-lr=nan", "--batch-size=0", "--crop-size=0"])
+def test_eval_sweep_net_rejects_bad_settings(workspace, capsys, flag):
+    labels = os.path.join(workspace["data"], "labels.csv")
+    assert main([
+        "eval", "sweep", workspace["corpus"], "--ks", "2", "--labels", labels, "--iters", "2",
+        "--closure", "net", "--net-iters", "1", flag,
+    ]) == 3
+    assert "ValueError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
@@ -456,9 +483,14 @@ def test_config_file_with_flag_override(workspace, tmp_path):
         {"sgd": {"base_lr": True}},
         {"sgd": {"base_lr": 1e400}},
         {"augment": {"crop_size": 32, "flip": True}},
+        {"spec": [1]},
+        {"spec": 1.5},
+        {"spec": 5},
+        {"spec": True},
     ],
     ids=["unknown-sgd-field", "sgd-not-an-object", "augment-not-an-object", "string-batch-size",
-         "string-seed", "float-iterations", "bool-rate", "infinite-rate", "unknown-augment-field"],
+         "string-seed", "float-iterations", "bool-rate", "infinite-rate", "unknown-augment-field",
+         "list-spec", "float-spec", "int-spec", "bool-spec"],
 )
 def test_malformed_run_config_exits_3(workspace, tmp_path, capsys, config):
     path = tmp_path / "run.json"
@@ -493,10 +525,12 @@ def test_cli_training_deterministic(workspace, tmp_path):
             assert fa.read() == fb.read()
 
 
-def test_ttn_threads_env_accepted(workspace, tmp_path, monkeypatch):
-    monkeypatch.setenv("TTN_THREADS", "2")
-    out = str(tmp_path / "threaded")
-    assert main([
-        "net", "train", workspace["corpus"], workspace["model"], "-o", out,
-        "--iters", "5", "--batch-size", "4", "--seed", "1",
-    ]) == 0
+def test_synthetic_pipeline_script_runs(tmp_path):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_synthetic_pipeline.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--workdir", str(tmp_path),
+         "--docs-per-topic", "20", "--lda-iters", "10", "--net-iters", "20"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^text->image retrieval .*: MAP = \d\.\d{3}$", proc.stdout, re.MULTILINE)

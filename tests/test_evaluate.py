@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ttn import evaluate as E
 from ttn import lda as lda_mod
 from ttn.corpus import BowDocument
-from ttn.errors import CorruptFile, DimensionMismatch, NoRelevant, SingleClassData
+from ttn.errors import CorruptFile, DataError, DimensionMismatch, NoRelevant, SingleClassData
 
 
 def _cluster_data(n_per=20, gap=4.0, seed=0, dim=3):
@@ -43,6 +43,12 @@ def test_svm_single_class_raises():
         E.svm_train(data, "same")
     with pytest.raises(SingleClassData):
         E.svm_train(data, "absent")
+
+
+@pytest.mark.parametrize("lam", [0.0, -1e-3, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_svm_rejects_lambda_not_finite_and_positive(lam):
+    with pytest.raises(ValueError, match="lam must be finite and positive"):
+        E.svm_train(_cluster_data(), "pos", lam=lam)
 
 
 def test_svm_objective_decreases():
@@ -259,6 +265,23 @@ def test_features_roundtrip(tmp_path):
     assert [i for i, _ in loaded] == ["a", "b"]
     for (_, got), (_, want) in zip(loaded, items):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [("a", 0.5), ("b", 0.2)],
+        [("a", np.ones((2, 2))), ("b", np.ones((2, 2)))],
+        [("a", np.ones(2)), ("b", np.ones(3))],
+        [],
+    ],
+    ids=["0-d", "2-d", "ragged", "empty"],
+)
+def test_save_features_refuses_what_load_features_would(tmp_path, items):
+    path = tmp_path / "feats.bin"
+    with pytest.raises(DataError):
+        E.save_features(items, str(path))
+    assert not path.exists()
 
 
 def test_features_truncation(tmp_path):

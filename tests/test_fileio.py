@@ -204,17 +204,3 @@ def test_decode_image_dispatches_on_extension(tmp_path):
     assert np.array_equal(F.decode_image(path), F.read_ppm(path))
     with pytest.raises(DataError):
         F.decode_image(str(tmp_path / "img.tiff"))
-
-
-# -------------------------------------------------------------------- threads
-
-def test_ttn_threads_env(monkeypatch):
-    monkeypatch.delenv("TTN_THREADS", raising=False)
-    assert F.ttn_threads() == 1
-    monkeypatch.setenv("TTN_THREADS", "4")
-    assert F.ttn_threads() == 4
-    monkeypatch.setenv("TTN_THREADS", "0")
-    assert F.ttn_threads() == 1  # clamped to at least one
-    monkeypatch.setenv("TTN_THREADS", "notanumber")
-    with pytest.raises(DataError):
-        F.ttn_threads()

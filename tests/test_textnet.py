@@ -190,6 +190,18 @@ def test_train_resume_matches_straight_run():
     assert resumed.iteration == full_cfg.max_iters
 
 
+def test_train_refuses_start_past_max_iters():
+    pairs = _toy_pairs()
+    spec = _toy_spec()
+    ahead, _ = textnet.train(pairs, spec, nn.SgdConfig(batch_size=4, max_iters=10), AUG32, seed=4)
+    with pytest.raises(ValueError, match="past max_iters"):
+        textnet.train(pairs, spec, nn.SgdConfig(batch_size=4, max_iters=5), AUG32, seed=4, start=ahead)
+    level, history = textnet.train(pairs, spec, nn.SgdConfig(batch_size=4, max_iters=10), AUG32, seed=4,
+                                   start=ahead)
+    assert history == [] and level.iteration == 10
+    assert nn.params_equal(level.params, ahead.params)
+
+
 def test_train_loss_decreases_on_planted_data():
     pairs = _toy_pairs(n=24)
     spec = _toy_spec()
@@ -342,16 +354,6 @@ def test_predict_topics_single_crop_is_center():
     np.testing.assert_allclose(theta, expected / expected.sum(), rtol=1e-12)
 
 
-def test_predict_topics_random_crops_seeded():
-    checkpoint, _ = textnet.train(_toy_pairs(), _toy_spec(), FAST_SGD, AUG32, seed=0)
-    image = np.random.default_rng(3).random((3, 40, 40))
-    a = textnet.predict_topics(checkpoint, image, n_crops=12, random_crops=True, seed=5)
-    b = textnet.predict_topics(checkpoint, image, n_crops=12, random_crops=True, seed=5)
-    c = textnet.predict_topics(checkpoint, image, n_crops=12, random_crops=True, seed=6)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
 def test_predict_topics_rejects_small_image():
     checkpoint = _zero_head_checkpoint(side=8)
     with pytest.raises(CropTooLarge):
@@ -418,9 +420,11 @@ def test_fine_tune_defaults():
 
 def test_fine_tune_learns_two_classes():
     base, _ = textnet.train(_toy_pairs(), _toy_spec(k=3), FAST_SGD, AUG32, seed=1)
+    base_params = nn.copy_params(base.params)
     pairs = _onehot_pairs(n=24, n_classes=2)
     cfg = nn.fine_tune_config(base_lr=0.02, max_iters=150, batch_size=8)
     tuned, history = textnet.fine_tune(base, pairs, 2, cfg, seed=2, aug_cfg=AUG32)
+    assert nn.params_equal(base.params, base_params)  # trains on its own copy
     correct = 0
     for pair in pairs:
         center = pair.image[:, 2:34, 2:34]
