@@ -54,8 +54,7 @@ def main():
          "-o", os.path.join(work, "vocab.json"), "--min-df", "5"], "vocab")
     run(["lda", "train", os.path.join(data, "corpus.jsonl"), os.path.join(work, "vocab.json"),
          "-o", model, "-k", str(args.topics), "--alpha", "0.1",
-         "--iters", str(args.lda_iters), "--burn-in", str(args.lda_iters // 2),
-         "--seed", str(args.seed)], "lda train")
+         "--iters", str(args.lda_iters), "--seed", str(args.seed)], "lda train")
     run(["lda", "topics", model, "--top-n", "5"], "lda topics")
     run(["net", "train", os.path.join(data, "corpus.jsonl"), model, "-o", netdir,
          "--iters", str(args.net_iters), "--seed", str(args.seed)], "net train")

@@ -587,7 +587,7 @@ def build_parser():
     p.add_argument("-a", "--alpha", type=float, default=None, help="doc-topic prior (default 50/k)")
     p.add_argument("-b", "--beta", type=float, default=0.01, help="topic-word prior")
     p.add_argument("--iters", type=int, default=200, help="Gibbs sweeps")
-    p.add_argument("--burn-in", type=int, default=100)
+    p.add_argument("--burn-in", type=int, default=100, help="sweeps before averaging starts; read only with --average")
     p.add_argument("--infer-iters", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--average", action="store_true", help="average counts after burn-in")

@@ -10,7 +10,6 @@ older detection-benchmark protocol.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -21,10 +20,11 @@ from .errors import (
     CorruptFile,
     DataError,
     DimensionMismatch,
+    DuplicateId,
     NoRelevant,
     SingleClassData,
 )
-from .fileio import MAGIC_FEATURES, atomic_write, read_csv, read_tensor_file, string_list, write_tensor_file
+from .fileio import MAGIC_FEATURES, read_csv, read_tensor_file, string_list, write_tensor_file
 
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2)
 DEFAULT_LAMBDA = 1e-3
@@ -74,6 +74,8 @@ def svm_train(data, class_id, lam=DEFAULT_LAMBDA, epochs=20, seed=0):
         raise ValueError("data must be nonempty")
     if not 0 < lam < math.inf:  # NaN fails this too
         raise ValueError(f"lam must be finite and positive, got {lam}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     x = l2_normalize(np.stack([d.feature for d in data]))
     y = np.asarray([1.0 if class_id in d.labels else -1.0 for d in data])
     if len(set(y.tolist())) < 2:
@@ -236,15 +238,17 @@ def load_features(path):
 
 
 def load_labels(path):
-    """Read a label CSV: item_id,class_id[,class_id...] per row."""
+    """Read a label CSV: item_id,class_id[,class_id...] per row, one row per item."""
     labels = {}
-    for _, row in read_csv(path):
+    for line_num, row in read_csv(path):
         if not row or not row[0].strip():
             continue
         item_id = row[0].strip()
         classes = [c.strip() for c in row[1:] if c.strip()]
         if not classes:
             raise CorruptFile(f"{path}: item {item_id!r} has no class")
+        if item_id in labels:
+            raise DuplicateId(f"{path}:{line_num}: item {item_id!r} is labeled on an earlier line too")
         labels[item_id] = frozenset(classes)
     if not labels:
         raise CorruptFile(f"{path}: no labels found")
@@ -276,13 +280,3 @@ def load_scores(path):
     if not per_query:
         raise DataError("scores file holds no rows")
     return per_query
-
-
-def save_labels(labels, path):
-    with atomic_write(path, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for item_id in sorted(labels):
-            classes = labels[item_id]
-            if isinstance(classes, (str, int)):
-                classes = [classes]
-            writer.writerow([item_id, *sorted(str(c) for c in classes)])

@@ -1,4 +1,4 @@
-"""Minimal dense-tensor CNN kernels: layers, losses, SGD with momentum.
+"""Minimal dense-tensor CNN kernels: layers, sigmoid cross-entropy, SGD with momentum.
 
 Everything is plain numpy. Convolution builds its patches channel-major,
 as a (C*k*k, B*OH*OW) matrix of k*k strided copies of the padded input, so
@@ -14,9 +14,9 @@ over the w*w window-offset views; its backward recomputes the first-max
 mask from the cached input and output. Backward passes are exact
 reverse-mode gradients, checkable against central finite differences via
 gradient_check(). Training and inference run in float64. The kernels
-keep the dtype they are given, so float32 parameters from
-init_params(dtype=np.float32) run through them too; the kernel tests check
-both precisions against a reference implementation.
+keep the dtype they are given, so float32 parameters and inputs run through
+them too; the kernel tests check both precisions against a reference
+implementation.
 """
 
 from __future__ import annotations
@@ -255,13 +255,6 @@ class SgdConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
-def fine_tune_config(**overrides):
-    """Default schedule for fine-tuning: 1e-4 base rate, 0.1 decay every 30k."""
-    cfg = {"base_lr": 0.0001, "lr_step": 30_000, "max_iters": 60_000}
-    cfg.update(overrides)
-    return SgdConfig(**cfg)
-
-
 def learning_rate(cfg, iteration):
     if iteration < 0:
         raise ValueError(f"iteration must be >= 0, got {iteration}")
@@ -281,7 +274,7 @@ def param_shapes(spec):
     return shapes
 
 
-def init_params(spec, seed, dtype=np.float64):
+def init_params(spec, seed):
     """He-style fan-in scaled uniform weights, zero biases, zero momentum.
 
     Weights are drawn from U(-sqrt(6/fan_in), sqrt(6/fan_in)), which has
@@ -297,8 +290,8 @@ def init_params(spec, seed, dtype=np.float64):
             continue
         w_shape, b_shape = shapes
         limit = np.sqrt(6.0 / math.prod(w_shape[1:]))
-        w = rng.uniform(-limit, limit, size=w_shape).astype(dtype)
-        b = np.zeros(b_shape, dtype=dtype)
+        w = rng.uniform(-limit, limit, size=w_shape)
+        b = np.zeros(b_shape)
         params.append(LayerParams(w, b, np.zeros_like(w), np.zeros_like(b)))
     return params
 
@@ -445,7 +438,7 @@ def layer_outputs(cache):
 def backward(spec, params, cache, grad_logits):
     """Exact gradients of the loss w.r.t. every weight and bias.
 
-    grad_logits is d(loss)/d(logits) as produced by the loss functions here.
+    grad_logits is d(loss)/d(logits), as sigmoid_cross_entropy returns it.
     Returns a params-shaped list of (d_weight, d_bias) tuples (None for
     parameterless layers).
     """
@@ -506,27 +499,6 @@ def sigmoid_cross_entropy(logits, targets):
     return loss, grad
 
 
-def softmax_cross_entropy(logits, targets):
-    """Softmax cross-entropy against (soft or one-hot) target rows.
-
-    loss = mean over the batch of -sum_k t * log softmax(x),
-    grad = (softmax(x) - t) / B.
-    """
-    logits = np.asarray(logits)
-    targets = np.asarray(targets)
-    if logits.shape != targets.shape:
-        raise ShapeMismatch(f"logits {logits.shape} vs targets {targets.shape}")
-    if not np.all(np.isfinite(logits)) or not np.all(np.isfinite(targets)):
-        raise NonFiniteInput("logits and targets must be finite")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_softmax = shifted - log_z
-    b = logits.shape[0]
-    loss = float(-(targets * log_softmax).sum() / b)
-    grad = (np.exp(log_softmax) - targets) / b
-    return loss, grad
-
-
 def sgd_step(params, grads, cfg, iteration):
     """One momentum update, in place: v <- m*v - lr*g; w <- w + v."""
     lr = learning_rate(cfg, iteration)
@@ -543,23 +515,22 @@ def sgd_step(params, grads, cfg, iteration):
     return params
 
 
-def gradient_check(spec, params, batch, targets, epsilon=1e-5, loss="sigmoid", max_checks_per_tensor=None, seed=0):
-    """Compare backward() against central finite differences.
+def gradient_check(spec, params, batch, targets, epsilon=1e-5, max_checks_per_tensor=None, seed=0):
+    """Compare backward() against central finite differences of the
+    sigmoid cross-entropy.
 
     Returns the maximum relative error over all checked parameter entries,
     where rel(a, n) = |a - n| / max(|a|, |n|, 1e-3). The floor keeps finite-
     difference roundoff from dominating near-zero gradients. Set
     max_checks_per_tensor to sample large tensors instead of sweeping them.
     """
-    loss_fn = {"sigmoid": sigmoid_cross_entropy, "softmax": softmax_cross_entropy}[loss]
-
     def eval_loss():
         logits, _ = forward(spec, params, batch)
-        value, _ = loss_fn(logits, targets)
+        value, _ = sigmoid_cross_entropy(logits, targets)
         return value
 
     logits, cache = forward(spec, params, batch)
-    _, grad_logits = loss_fn(logits, targets)
+    _, grad_logits = sigmoid_cross_entropy(logits, targets)
     grads = backward(spec, params, cache, grad_logits)
 
     rng = np.random.default_rng(seed)

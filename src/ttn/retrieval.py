@@ -206,15 +206,10 @@ def query(index, query_embedding, target_modality, top_n=10, symmetric=False):
 def embed_text(text, vocab, model, seed=0):
     """Topic distribution of a text snippet via LDA fold-in inference.
 
-    vocab may be a Vocabulary, a word -> id mapping, or a word sequence. A
-    snippet with no in-vocabulary token raises EmptyDocument.
+    vocab is a Vocabulary or a word -> id mapping. A snippet with no
+    in-vocabulary token raises EmptyDocument.
     """
-    if isinstance(vocab, corpus_mod.Vocabulary):
-        word_index = vocab.index
-    elif isinstance(vocab, dict):
-        word_index = vocab
-    else:  # a plain word sequence (tuples have an .index METHOD, hence isinstance above)
-        word_index = {w: i for i, w in enumerate(vocab)}
+    word_index = vocab.index if isinstance(vocab, corpus_mod.Vocabulary) else vocab
     counts = corpus_mod.text_to_counts(text, word_index)
     if not counts:
         raise EmptyDocument(f"query text has no in-vocabulary token: {text!r}")
@@ -225,37 +220,6 @@ def embed_text(text, vocab, model, seed=0):
 def embed_image(image, checkpoint, n_crops=10):
     """Topic distribution of an image via the trained net (crop-averaged)."""
     return textnet.predict_topics(checkpoint, image, n_crops=n_crops)
-
-
-def feature_nn(db_features, query_vector, metric="cosine", top_n=10):
-    """Nearest neighbours in an arbitrary feature space (not topic space).
-
-    db_features is a list of (item_id, vector). Supported metrics: "cosine"
-    (1 - cosine similarity; zero vectors get distance 1) and "euclidean".
-    Returns [(item_id, distance)], ascending, ties broken by item_id.
-    """
-    if metric not in ("cosine", "euclidean"):
-        raise ValueError(f"metric must be cosine or euclidean, got {metric!r}")
-    if top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
-    if not db_features:
-        raise ValueError("db_features must be nonempty")
-    q = np.asarray(query_vector, dtype=np.float64)
-    ids = [item_id for item_id, _ in db_features]
-    vectors = [np.asarray(vec, dtype=np.float64) for _, vec in db_features]
-    for item_id, v in zip(ids, vectors):
-        if v.shape != q.shape:
-            raise DimensionMismatch(f"entry {item_id!r} has dim {v.shape}, query {q.shape}")
-    matrix = np.array(vectors).reshape(len(ids), q.size)
-    q = q.ravel()
-    if metric == "euclidean":
-        dist = np.linalg.norm(matrix - q, axis=1)
-    else:
-        norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(q)
-        # a zero norm leaves the ratio at 0, so its distance is 1
-        dist = 1.0 - np.divide(matrix @ q, norms, out=np.zeros(len(ids)), where=norms != 0)
-    scored = sorted(zip(dist.tolist(), ids))
-    return [(item_id, d) for d, item_id in scored[:top_n]]
 
 
 def save_index(index, path):

@@ -39,6 +39,8 @@ class SynthConfig:
             raise ValueError(f"n_topics must be in [1, {len(_LETTERS)}]")
         if min(self.docs_per_topic, self.tokens_per_doc, self.words_per_topic) < 1:
             raise ValueError("docs_per_topic, tokens_per_doc, words_per_topic must be >= 1")
+        if min(self.images_per_doc, self.held_out_per_topic) < 0:
+            raise ValueError("images_per_doc and held_out_per_topic must be >= 0")
         if self.image_size < 8:
             raise ValueError("image_size must be >= 8")
 

@@ -135,32 +135,34 @@ def _pair_index(seed, n, position, perm_cache):
     return int(perm_cache[epoch][offset])
 
 
-def _train(pairs, start, loss_fn, sgd_cfg, aug_cfg, seed, lda_model_hash, checkpoint_every, checkpoint_dir):
-    """The SGD loop behind train and fine_tune.
+def train(pairs, spec, sgd_cfg, aug_cfg, seed, *, start=None, checkpoint_every=None, checkpoint_dir=None,
+          lda_model_hash=""):
+    """Train from scratch (or resume from `start`) on topic-regression pairs.
 
-    Continues `start` (its spec, parameters and iteration) up to
-    sgd_cfg.max_iters on a copy of its parameters, so `start` is left as it
-    was. Every checkpoint_every iterations short of the end it writes
+    Runs SGD on sigmoid cross-entropy up to sgd_cfg.max_iters, on a copy of
+    the starting parameters, so `start` is left as it was. Every
+    checkpoint_every iterations short of the end it writes
     ckpt_<iteration>.ckpt into checkpoint_dir. Returns (final checkpoint,
-    history) where history rows are (iteration, learning rate, loss).
+    history) where history rows are (iteration, learning rate, loss). With
+    max_iters == 0 the returned parameters equal the seeded initialization
+    bit for bit. A `start` past sgd_cfg.max_iters raises ValueError.
     """
+    if start is None:
+        start = Checkpoint(spec=spec, params=nn.init_params(spec, seed), iteration=0, sgd=sgd_cfg, seed=seed)
+    elif start.spec != spec:
+        raise ShapeMismatch("resume checkpoint was trained with a different spec")
     if not pairs:
         raise NoPairs("pairs must be nonempty")
     if start.iteration > sgd_cfg.max_iters:
         raise ValueError(f"start checkpoint is at iteration {start.iteration}, past max_iters {sgd_cfg.max_iters}")
-    spec = start.spec
-    in_c, in_h, in_w = spec.in_shape
+    _, in_h, in_w = spec.in_shape
     if in_h != in_w:
         raise ShapeMismatch(f"net input must be square, got {spec.in_shape}")
-    if aug_cfg is not None and aug_cfg.crop_size != in_h:
+    if aug_cfg.crop_size != in_h:
         raise ShapeMismatch(f"crop_size {aug_cfg.crop_size} != net input side {in_h}")
     for pair in pairs:
         _, h, w = pair.image.shape
-        if aug_cfg is None and (h, w) != (in_h, in_w):
-            raise ShapeMismatch(
-                f"doc {pair.doc_id!r}: image {h}x{w} needs an AugmentConfig to reach {in_h}x{in_w}"
-            )
-        if aug_cfg is not None and min(h, w) < aug_cfg.crop_size:
+        if min(h, w) < aug_cfg.crop_size:
             raise CropTooLarge(f"doc {pair.doc_id!r}: image {h}x{w} smaller than crop")
         if pair.target.shape != (spec.out_dim,):
             raise ShapeMismatch(f"doc {pair.doc_id!r}: target dim {pair.target.shape} != net out {spec.out_dim}")
@@ -178,15 +180,10 @@ def _train(pairs, start, loss_fn, sgd_cfg, aug_cfg, seed, lda_model_hash, checkp
     perm_cache = {}
     for iteration in range(start.iteration, sgd_cfg.max_iters):
         idx = [_pair_index(seed, n, iteration * batch + j, perm_cache) for j in range(batch)]
-        if aug_cfg is None:
-            views = [pairs[i].image for i in idx]
-        else:
-            views = [
-                augment(pairs[i].image, aug_cfg, iteration * batch + j) for j, i in enumerate(idx)
-            ]
+        views = [augment(pairs[i].image, aug_cfg, iteration * batch + j) for j, i in enumerate(idx)]
         x = np.stack(views).astype(np.float64, copy=False)
         logits, cache = nn.forward(spec, params, x)
-        loss, grad_logits = loss_fn(logits, targets[idx])
+        loss, grad_logits = nn.sigmoid_cross_entropy(logits, targets[idx])
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss became non-finite at iteration {iteration}")
         grads = nn.backward(spec, params, cache, grad_logits)
@@ -196,23 +193,6 @@ def _train(pairs, start, loss_fn, sgd_cfg, aug_cfg, seed, lda_model_hash, checkp
         if checkpoint_every and checkpoint_dir and done % checkpoint_every == 0 and done < sgd_cfg.max_iters:
             save_checkpoint(checkpoint(done), os.path.join(checkpoint_dir, f"ckpt_{done:06d}.ckpt"))
     return checkpoint(sgd_cfg.max_iters), history
-
-
-def train(pairs, spec, sgd_cfg, aug_cfg, seed, *, start=None, checkpoint_every=None, checkpoint_dir=None,
-          lda_model_hash=""):
-    """Train from scratch (or resume from `start`) on topic-regression pairs.
-
-    Returns (final checkpoint, history) where history rows are
-    (iteration, learning rate, loss). With max_iters == 0 the returned
-    parameters equal the seeded initialization bit for bit. A `start` past
-    sgd_cfg.max_iters raises ValueError.
-    """
-    if start is None:
-        start = Checkpoint(spec=spec, params=nn.init_params(spec, seed), iteration=0, sgd=sgd_cfg, seed=seed)
-    elif start.spec != spec:
-        raise ShapeMismatch("resume checkpoint was trained with a different spec")
-    return _train(pairs, start, nn.sigmoid_cross_entropy, sgd_cfg, aug_cfg, seed, lda_model_hash,
-                  checkpoint_every, checkpoint_dir)
 
 
 def _crop_at(image, top, left, size):
@@ -255,31 +235,6 @@ def extract_features(checkpoint, image, layer_name):
     x = np.ascontiguousarray(view[None], dtype=np.float64)
     _, cache = nn.forward(spec, checkpoint.params, x)
     return nn.layer_outputs(cache)[index].reshape(-1).copy()
-
-
-def fine_tune(checkpoint, labeled_pairs, n_classes, sgd_cfg, seed, aug_cfg=None):
-    """Swap the final dense layer for a fresh n_classes head and train with
-    softmax cross-entropy. Trunk weights start from the checkpoint (with
-    momentum reset); the head is re-initialized from `seed`.
-
-    labeled_pairs reuse TrainingPair with one-hot class targets. Returns
-    (checkpoint, history).
-    """
-    spec = checkpoint.spec
-    if not isinstance(spec.layers[-1], nn.Dense):
-        raise ShapeMismatch("fine-tuning expects a net ending in a dense layer")
-    new_spec = nn.NetSpec(
-        in_shape=spec.in_shape,
-        layers=spec.layers[:-1] + (nn.Dense(n_classes, name=spec.layers[-1].name),),
-        aliases=dict(spec.aliases),
-    )
-    params = nn.init_params(new_spec, seed)
-    for i, p in enumerate(checkpoint.params[:-1]):
-        if p is not None:
-            params[i] = nn.LayerParams(p.weight, p.bias, np.zeros_like(p.weight), np.zeros_like(p.bias))
-    start = Checkpoint(spec=new_spec, params=params, iteration=0, sgd=sgd_cfg, seed=seed)
-    return _train(labeled_pairs, start, nn.softmax_cross_entropy, sgd_cfg, aug_cfg, seed,
-                  checkpoint.lda_model_hash, None, None)
 
 
 def _non_finite_tensor(spec, params):

@@ -62,6 +62,12 @@ def _save_scores(path):
         fh.write("query_id,item_id,score,relevant\n" + "\n".join(rows) + "\n")
 
 
+def _save_labels(path):
+    rows = [f"img{i}.ppm,{i % 2},all" for i in range(4)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
+
+
 KINDS = {
     "model": (lambda path: lda.save_model(_model(), path), lda.load_model),
     "checkpoint": (lambda path: textnet.save_checkpoint(_checkpoint(), path), textnet.load_checkpoint),
@@ -80,7 +86,7 @@ KINDS = {
         corpus.Vocabulary.load,
     ),
     "labels": (
-        lambda path: evaluate.save_labels({f"img{i}.ppm": {str(i % 2), "all"} for i in range(4)}, path),
+        _save_labels,
         evaluate.load_labels,
     ),
     "scores": (_save_scores, evaluate.load_scores),

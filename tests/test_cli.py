@@ -255,8 +255,8 @@ def test_eval_map_rejects_bad_rows(tmp_path, capsys, rows):
 
 @pytest.mark.parametrize(
     "row, error",
-    [("doc000\n", "CorruptFile"), ("doc000,0,1\n", "DataError")],
-    ids=["no-class", "two-classes"],
+    [("doc000\n", "CorruptFile"), ("doc000,0,1\n", "DataError"), ("doc000,0\ndoc000,1\n", "DuplicateId")],
+    ids=["no-class", "two-classes", "duplicate-id"],
 )
 def test_eval_sweep_rejects_bad_label_rows(workspace, tmp_path, capsys, row, error):
     labels = tmp_path / "labels.csv"

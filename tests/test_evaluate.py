@@ -51,6 +51,12 @@ def test_svm_rejects_lambda_not_finite_and_positive(lam):
         E.svm_train(_cluster_data(), "pos", lam=lam)
 
 
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_svm_rejects_epochs_below_one(epochs):
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        E.svm_train(_cluster_data(), "pos", epochs=epochs)
+
+
 def test_svm_objective_decreases():
     # Pegasos needs T on the order of 1/lam steps, so use a lam the epoch
     # budget can actually converge under before asserting a small objective.
@@ -296,7 +302,7 @@ def test_features_truncation(tmp_path):
 def test_labels_roundtrip(tmp_path):
     labels = {"x": frozenset(["1"]), "y": frozenset(["0", "2"])}
     path = tmp_path / "labels.csv"
-    E.save_labels(labels, str(path))
+    path.write_text("x,1\ny,0,2\n", encoding="utf-8")
     assert E.load_labels(str(path)) == labels
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ttn import lda as lda_mod
 from ttn import nn, retrieval, textnet
-from ttn.corpus import BowDocument
+from ttn.corpus import BowDocument, Vocabulary
 from ttn.errors import (
     CorruptFile,
     DataError,
@@ -367,8 +367,9 @@ def test_embed_text_rejects_oov(tiny_model):
 def test_embed_text_accepts_vocab_like_objects(tiny_model):
     text = "alpha charlie"
     via_dict = retrieval.embed_text(text, {w: i for i, w in enumerate(WORDS)}, tiny_model, seed=1)
-    via_seq = retrieval.embed_text(text, WORDS, tiny_model, seed=1)
-    assert np.array_equal(via_dict, via_seq)
+    vocab = Vocabulary(words=WORDS, doc_freq=(1,) * len(WORDS), min_df=1, max_df_ratio=1.0, n_docs=1)
+    via_vocab = retrieval.embed_text(text, vocab, tiny_model, seed=1)
+    assert np.array_equal(via_dict, via_vocab)
 
 
 def test_embed_image_matches_predict_topics():
@@ -383,46 +384,6 @@ def test_embed_image_matches_predict_topics():
         retrieval.embed_image(image, checkpoint, n_crops=4),
         textnet.predict_topics(checkpoint, image, n_crops=4),
     )
-
-
-# ------------------------------------------------------------------ features
-
-def test_feature_nn_cosine_vs_euclidean_disagree():
-    db = [("long", np.array([10.0, 1.0])), ("short", np.array([1.0, 0.0]))]
-    q = np.array([2.0, 0.2])
-    by_cos = retrieval.feature_nn(db, q, metric="cosine")
-    by_euc = retrieval.feature_nn(db, q, metric="euclidean")
-    assert by_cos[0][0] == "long"   # same direction as the query
-    assert by_euc[0][0] == "short"  # closer in absolute distance
-
-
-def test_feature_nn_cosine_scale_invariant():
-    db = [("a", np.array([1.0, 2.0])), ("b", np.array([2.0, 1.0]))]
-    q = np.array([1.0, 1.5])
-    base = retrieval.feature_nn(db, q, metric="cosine")
-    scaled = retrieval.feature_nn(db, 100.0 * q, metric="cosine")
-    assert [i for i, _ in base] == [i for i, _ in scaled]
-    for (_, d1), (_, d2) in zip(base, scaled):
-        assert d1 == pytest.approx(d2, rel=1e-12)
-
-
-def test_feature_nn_euclidean_hand_values():
-    db = [("a", np.array([0.0, 0.0])), ("b", np.array([3.0, 4.0]))]
-    ranked = retrieval.feature_nn(db, np.array([0.0, 0.0]), metric="euclidean")
-    assert ranked == [("a", 0.0), ("b", 5.0)]
-
-
-def test_feature_nn_zero_norm_cosine_distance_is_one():
-    db = [("zero", np.zeros(3)), ("unit", np.array([1.0, 0.0, 0.0]))]
-    ranked = dict(retrieval.feature_nn(db, np.array([1.0, 0.0, 0.0]), metric="cosine"))
-    assert ranked["zero"] == pytest.approx(1.0)
-    assert ranked["unit"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_feature_nn_rejects_unknown_metric():
-    db = [("a", np.zeros(2))]
-    with pytest.raises(ValueError):
-        retrieval.feature_nn(db, np.zeros(2), metric="manhattan")
 
 
 # --------------------------------------------------------------------- files

@@ -108,3 +108,7 @@ def test_synth_config_validation():
         synth.SynthConfig(image_size=7)
     with pytest.raises(ValueError):
         synth.SynthConfig(tokens_per_doc=0)
+    for field in ("images_per_doc", "held_out_per_topic"):
+        with pytest.raises(ValueError):
+            synth.SynthConfig(**{field: -1})
+    synth.SynthConfig(images_per_doc=0, held_out_per_topic=0)  # zero stays allowed

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import glob
+import importlib
 import os
 
 import numpy as np
@@ -42,6 +43,7 @@ def _toy_spec(k=3, side=32):
     )
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 FAST_SGD = nn.SgdConfig(base_lr=0.01, lr_decay=0.1, lr_step=10_000, momentum=0.9, batch_size=4, max_iters=30)
 AUG32 = textnet.AugmentConfig(crop_size=32, mirror_prob=0.5, seed=2)
 
@@ -184,7 +186,9 @@ def test_train_resume_matches_straight_run():
                             batch_size=FAST_SGD.batch_size, max_iters=15)
     straight, h_full = textnet.train(pairs, spec, full_cfg, AUG32, seed=4)
     half, h1 = textnet.train(pairs, spec, half_cfg, AUG32, seed=4)
+    half_params = nn.copy_params(half.params)
     resumed, h2 = textnet.train(pairs, spec, full_cfg, AUG32, seed=4, start=half)
+    assert nn.params_equal(half.params, half_params)  # trains on its own copy
     assert nn.params_equal(straight.params, resumed.params)
     assert h_full == h1 + h2
     assert resumed.iteration == full_cfg.max_iters
@@ -234,6 +238,25 @@ def test_train_history_logs_lr_schedule():
     assert [h[0] for h in history] == list(range(20))
     assert all(lr == pytest.approx(0.01) for _, lr, _ in history[:10])
     assert all(lr == pytest.approx(0.001) for _, lr, _ in history[10:])
+
+
+def test_train_steps_trace_under_train(monkeypatch):
+    # The benchmark's tracer swaps these module globals for wrappers, so the
+    # loop must look each one up at call time, never through a value bound
+    # earlier, such as a default argument.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracer = importlib.import_module("tracing").Tracer()
+    uninstall = tracer.install()
+    try:
+        textnet.train(_toy_pairs(), _toy_spec(), nn.SgdConfig(batch_size=4, max_iters=2), AUG32, seed=0)
+    finally:
+        uninstall()
+    (train_id,) = [sid for sid, _, _, name, *_ in tracer.spans if name == "textnet.train"]
+    parents = {}
+    for _, parent, _, name, *_ in tracer.spans:
+        parents.setdefault(name, set()).add(parent)
+    for name in ("nn.forward", "nn.backward", "nn.sgd_step", "nn.sigmoid_cross_entropy", "textnet.augment"):
+        assert parents.get(name) == {train_id}, name
 
 
 # ------------------------------------------------------------ checkpoint files
@@ -375,60 +398,3 @@ def test_extract_features_shapes_and_consistency():
     np.testing.assert_allclose(logits_vec, logits[0], rtol=1e-12)
     with pytest.raises(UnknownLayer):
         textnet.extract_features(checkpoint, image, "pool9")
-
-
-# ------------------------------------------------------------------ fine-tune
-
-def _onehot_pairs(n=16, n_classes=2, side=36, seed=0):
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for i in range(n):
-        cls = i % n_classes
-        image = rng.random((3, side, side)) * 0.2
-        image[cls % 3] += 0.7
-        target = np.zeros(n_classes)
-        target[cls] = 1.0
-        pairs.append(textnet.TrainingPair(image=np.clip(image, 0, 1), target=target, doc_id=f"c{i:03d}"))
-    return pairs
-
-
-def test_fine_tune_zero_iters_keeps_trunk():
-    base, _ = textnet.train(_toy_pairs(), _toy_spec(k=3), FAST_SGD, AUG32, seed=1)
-    cfg = nn.fine_tune_config(max_iters=0, batch_size=4)
-    tuned, history = textnet.fine_tune(base, _onehot_pairs(n_classes=5), 5, cfg, seed=9, aug_cfg=AUG32)
-    assert history == []
-    assert tuned.spec.out_dim == 5
-    for p_old, p_new in zip(base.params[:-1], tuned.params[:-1]):
-        if p_old is None:
-            continue
-        assert np.array_equal(p_old.weight, p_new.weight)
-        assert np.array_equal(p_old.bias, p_new.bias)
-        assert not p_new.weight_momentum.any()  # momentum reset on transfer
-    head = tuned.params[-1]
-    assert head.weight.shape == (5, base.params[-1].weight.shape[1])
-    fresh = nn.init_params(tuned.spec, 9)
-    assert np.array_equal(head.weight, fresh[-1].weight)  # head re-drawn from seed
-
-
-def test_fine_tune_defaults():
-    cfg = nn.fine_tune_config()
-    assert cfg.base_lr == pytest.approx(1e-4)
-    assert cfg.lr_step == 30_000
-    assert cfg.lr_decay == pytest.approx(0.1)
-    assert cfg.max_iters == 60_000
-
-
-def test_fine_tune_learns_two_classes():
-    base, _ = textnet.train(_toy_pairs(), _toy_spec(k=3), FAST_SGD, AUG32, seed=1)
-    base_params = nn.copy_params(base.params)
-    pairs = _onehot_pairs(n=24, n_classes=2)
-    cfg = nn.fine_tune_config(base_lr=0.02, max_iters=150, batch_size=8)
-    tuned, history = textnet.fine_tune(base, pairs, 2, cfg, seed=2, aug_cfg=AUG32)
-    assert nn.params_equal(base.params, base_params)  # trains on its own copy
-    correct = 0
-    for pair in pairs:
-        center = pair.image[:, 2:34, 2:34]
-        logits, _ = nn.forward(tuned.spec, tuned.params, center[None])
-        correct += int(np.argmax(logits[0]) == np.argmax(pair.target))
-    assert correct / len(pairs) >= 0.95
-    assert history[-1][2] < history[0][2]
