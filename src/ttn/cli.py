@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages: synth, vocab build, lda train/topics/
 infer, net train/embed/features, index build, query, and eval svm/map/sweep.
 Every output file is written atomically and every run is fully determined by
-its flags, config file, and seeds.
+its flags, input files, and seeds.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error.
 """
@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from . import nn
 from . import retrieval
 from . import synth
 from . import textnet
-from .errors import CorruptFile, DataError, EmptyDocument, NumericError, TtnError
+from .errors import DataError, EmptyDocument, NumericError, TtnError
 from .fileio import atomic_write, decode_image, parse_json, read_text
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 
@@ -42,7 +41,7 @@ class RunConfig:
     model: str
     out_dir: str
     image_root: str
-    spec: object  # "tiny" or an inline spec dict
+    spec: str  # "tiny" or a JSON spec file
     sgd: nn.SgdConfig
     augment: textnet.AugmentConfig
     seed: int
@@ -143,10 +142,8 @@ def _hyper_from(args):
         alpha=args.alpha,
         beta_prior=args.beta,
         n_iters=args.iters,
-        burn_in=args.burn_in,
         infer_iters=args.infer_iters,
         seed=args.seed,
-        average_after_burn_in=args.average,
     )
 
 
@@ -185,92 +182,30 @@ def cmd_lda_infer(args):
 def _resolve_spec(spec_arg, k, crop_size):
     if spec_arg == "tiny":
         return nn.tiny_topic_net(k, in_shape=(3, crop_size, crop_size))
-    if isinstance(spec_arg, dict):
-        return nn.NetSpec.from_dict(spec_arg)
     return nn.NetSpec.from_dict(parse_json(read_text(spec_arg), spec_arg))
-
-
-# Top-level run-config keys and their JSON types; "sgd" and "augment" take
-# theirs from the fields of nn.SgdConfig and textnet.AugmentConfig.
-_RUN_CONFIG_TYPES = {"seed": "int", "checkpoint_every": "int", "infer_missing": "bool", "image_root": "str"}
-
-
-def _is_json_type(value, kind):
-    if kind == "float":  # a finite number; bool is not one
-        if type(value) is int:
-            return abs(value) <= sys.float_info.max
-        return type(value) is float and math.isfinite(value)
-    return type(value) is {"int": int, "bool": bool, "str": str}[kind]
-
-
-def _check_run_config(cfg, path):
-    """Raise CorruptFile unless "sgd" and "augment" are objects holding only
-    fields of their dataclasses, and every value has its field's type."""
-    if not isinstance(cfg.get("spec", ""), (str, dict)):
-        raise CorruptFile(f"{path}: run config spec must be a JSON string or object, got {cfg['spec']!r}")
-    checks = [(key, cfg[key], kind) for key, kind in _RUN_CONFIG_TYPES.items() if key in cfg]
-    for section, cls in (("sgd", nn.SgdConfig), ("augment", textnet.AugmentConfig)):
-        values = cfg.get(section, {})
-        if not isinstance(values, dict):
-            raise CorruptFile(f"{path}: run config {section!r} must be an object")
-        kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
-        for name, value in values.items():
-            if name not in kinds:
-                raise CorruptFile(f"{path}: unknown {section} field {name!r}; known: {', '.join(kinds)}")
-            checks.append((f"{section}.{name}", value, kinds[name]))
-    for key, value, kind in checks:
-        if not _is_json_type(value, kind):
-            raise CorruptFile(f"{path}: run config {key} must be a JSON {kind}, got {value!r}")
-
-
-def _load_run_config(args):
-    file_cfg = {}
-    if args.config:
-        file_cfg = parse_json(read_text(args.config), args.config)
-        if not isinstance(file_cfg, dict):
-            raise CorruptFile(f"{args.config}: run config is not a JSON object")
-        _check_run_config(file_cfg, args.config)
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    sgd_cfg = dict(file_cfg.get("sgd", {}))
-    for key, flag in (
-        ("base_lr", args.base_lr),
-        ("lr_decay", args.lr_decay),
-        ("lr_step", args.lr_step),
-        ("momentum", args.momentum),
-        ("batch_size", args.batch_size),
-        ("max_iters", args.iters),
-    ):
-        if flag is not None:
-            sgd_cfg[key] = flag
-    aug_cfg = dict(file_cfg.get("augment", {}))
-    for key, flag in (("crop_size", args.crop_size), ("mirror_prob", args.mirror_prob)):
-        if flag is not None:
-            aug_cfg[key] = flag
-    aug_cfg.setdefault("crop_size", 32)
-    aug_cfg.setdefault("seed", pick(args.seed, "seed", 0))
-
-    return RunConfig(
-        corpus=args.corpus,
-        model=args.model,
-        out_dir=args.out,
-        image_root=pick(args.image_root, "image_root", os.path.dirname(os.path.abspath(args.corpus))),
-        spec=pick(args.spec, "spec", "tiny"),
-        sgd=nn.SgdConfig(**sgd_cfg),
-        augment=textnet.AugmentConfig(**aug_cfg),
-        seed=pick(args.seed, "seed", 0),
-        infer_missing=bool(pick(args.infer_missing or None, "infer_missing", False)),
-        checkpoint_every=int(pick(args.checkpoint_every, "checkpoint_every", 0)),
-    )
 
 
 def cmd_net_train(args):
     os.makedirs(args.out, exist_ok=True)
-    cfg = _load_run_config(args)
+    cfg = RunConfig(
+        corpus=args.corpus,
+        model=args.model,
+        out_dir=args.out,
+        image_root=args.image_root or os.path.dirname(os.path.abspath(args.corpus)),
+        spec=args.spec,
+        sgd=nn.SgdConfig(
+            base_lr=args.base_lr,
+            lr_decay=args.lr_decay,
+            lr_step=args.lr_step,
+            momentum=args.momentum,
+            batch_size=args.batch_size,
+            max_iters=args.iters,
+        ),
+        augment=textnet.AugmentConfig(crop_size=args.crop_size, mirror_prob=args.mirror_prob, seed=args.seed),
+        seed=args.seed,
+        infer_missing=args.infer_missing,
+        checkpoint_every=args.checkpoint_every,
+    )
     docs = corpus_mod.load_corpus(cfg.corpus)
     model = lda_mod.load_model(cfg.model)
     spec = _resolve_spec(cfg.spec, model.k, cfg.augment.crop_size)
@@ -426,6 +361,8 @@ def _labeled_features(features_path, labels_path):
 
 
 def cmd_eval_svm(args):
+    if args.val_labels is not None:
+        _required(args.val_features, "--val-features", "--val-labels")
     train_data = _labeled_features(args.features, args.labels)
     class_ids = sorted({c for d in train_data for c in d.labels})
     if args.val_features:
@@ -499,7 +436,6 @@ def cmd_eval_sweep(args):
         alpha=args.alpha,
         beta_prior=args.beta,
         n_iters=args.iters,
-        burn_in=args.burn_in,
         infer_iters=args.infer_iters,
         seed=args.seed,
     )
@@ -587,10 +523,8 @@ def build_parser():
     p.add_argument("-a", "--alpha", type=float, default=None, help="doc-topic prior (default 50/k)")
     p.add_argument("-b", "--beta", type=float, default=0.01, help="topic-word prior")
     p.add_argument("--iters", type=int, default=200, help="Gibbs sweeps")
-    p.add_argument("--burn-in", type=int, default=100, help="sweeps before averaging starts; read only with --average")
     p.add_argument("--infer-iters", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--average", action="store_true", help="average counts after burn-in")
     p.add_argument("--stopwords")
     p.set_defaults(func=cmd_lda_train)
 
@@ -613,19 +547,18 @@ def build_parser():
     p.add_argument("corpus")
     p.add_argument("model", help="trained LDA model file")
     p.add_argument("-o", "--out", required=True, help="output directory")
-    p.add_argument("--spec", default=None, help='"tiny" or a JSON spec file')
-    p.add_argument("--config", default=None, help="JSON config file (flags override it)")
-    p.add_argument("--image-root", default=None)
-    p.add_argument("--iters", type=int, default=None, help="override max training iterations")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--base-lr", type=float, default=None)
-    p.add_argument("--lr-decay", type=float, default=None)
-    p.add_argument("--lr-step", type=int, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--crop-size", type=int, default=None)
-    p.add_argument("--mirror-prob", type=float, default=None)
-    p.add_argument("--checkpoint-every", type=int, default=None)
+    p.add_argument("--spec", default="tiny", help='"tiny" or a JSON spec file')
+    p.add_argument("--image-root", default=None, help="directory image paths resolve against (default: the corpus's)")
+    p.add_argument("--iters", type=int, default=nn.SgdConfig.max_iters, help="training iterations")
+    p.add_argument("--seed", type=int, default=0, help="seeds initialization and augmentation")
+    p.add_argument("--batch-size", type=int, default=nn.SgdConfig.batch_size)
+    p.add_argument("--base-lr", type=float, default=nn.SgdConfig.base_lr)
+    p.add_argument("--lr-decay", type=float, default=nn.SgdConfig.lr_decay)
+    p.add_argument("--lr-step", type=int, default=nn.SgdConfig.lr_step)
+    p.add_argument("--momentum", type=float, default=nn.SgdConfig.momentum)
+    p.add_argument("--crop-size", type=int, default=32)
+    p.add_argument("--mirror-prob", type=float, default=textnet.AugmentConfig.mirror_prob)
+    p.add_argument("--checkpoint-every", type=int, default=0, help="iterations between checkpoints (0: none)")
     p.add_argument("--infer-missing", action="store_true", help="infer thetas for docs absent from the model")
     p.set_defaults(func=cmd_net_train)
 
@@ -705,7 +638,6 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=0.01)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--burn-in", type=int, default=50)
     p.add_argument("--infer-iters", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stopwords")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CorruptFile, DataError, FormatVersionMismatch
 
-MAGIC_LDA = b"TTNLDA2\x00"
+MAGIC_LDA = b"TTNLDA3\x00"
 MAGIC_NET = b"TTNNET2\x00"
 MAGIC_FEATURES = b"TTNFEA1\x00"
 MAGIC_INDEX = b"TTNIDX1\x00"

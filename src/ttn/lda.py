@@ -8,8 +8,8 @@ assignment at a time:
 
 Documents are processed in sorted doc_id order and all randomness comes from
 one seeded PCG64 generator (numpy's default_rng), so a fixed seed gives a
-bit-reproducible model. Point estimates are taken from the final sample;
-averaging counts over post-burn-in sweeps is available behind a flag.
+bit-reproducible model. Point estimates of phi and theta are taken from the
+final sample of the chain (Griffiths & Steyvers, PNAS 2004).
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ class LdaHyperparams:
     alpha: float | None = None
     beta_prior: float = 0.01
     n_iters: int = 200
-    burn_in: int = 100
     infer_iters: int = 50
     seed: int = 0
-    average_after_burn_in: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -54,10 +52,8 @@ class LdaHyperparams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.beta_prior <= 0:
             raise ValueError(f"beta_prior must be positive, got {self.beta_prior}")
-        if self.n_iters < 0 or self.burn_in < 0:
-            raise ValueError("iteration counts must be nonnegative")
-        if self.average_after_burn_in and self.burn_in >= self.n_iters:
-            raise ValueError("averaging requires burn_in < n_iters")
+        if self.n_iters < 0:
+            raise ValueError(f"n_iters must be >= 0, got {self.n_iters}")
         if self.infer_iters < 1:
             raise ValueError(f"infer_iters must be >= 1, got {self.infer_iters}")
 
@@ -299,30 +295,11 @@ def train(corpus, hyper, words):
     state = gibbs_init(corpus, hyper.k, vocab_size, rng)
     total_tokens = sum(len(t) for t in state.doc_tokens)
 
-    sum_n_dk = None
-    sum_n_kw = None
-    samples = 0
-    if hyper.average_after_burn_in:
-        sum_n_dk = np.zeros((len(state.doc_ids), hyper.k))
-        sum_n_kw = np.zeros((hyper.k, vocab_size))
+    for _ in range(hyper.n_iters):
+        gibbs_sweep(state, alpha, beta, rng.random(total_tokens).tolist())
 
-    for sweep in range(hyper.n_iters):
-        uniforms = rng.random(total_tokens).tolist()
-        gibbs_sweep(state, alpha, beta, uniforms)
-        if hyper.average_after_burn_in and sweep >= hyper.burn_in:
-            sum_n_dk += np.asarray(state.n_dk, dtype=np.float64)
-            sum_n_kw += state.dense_n_kw()
-            samples += 1
-
-    if hyper.average_after_burn_in:
-        n_dk = sum_n_dk / samples
-        n_kw = sum_n_kw / samples
-    else:
-        n_dk = np.asarray(state.n_dk, dtype=np.float64)
-        n_kw = state.dense_n_kw()
-
-    phi = _smoothed_rows(n_kw, beta)
-    thetas = _smoothed_rows(n_dk, alpha)
+    phi = _smoothed_rows(state.dense_n_kw(), beta)
+    thetas = _smoothed_rows(state.n_dk, alpha)
     return LdaModel(
         vocab_size=vocab_size,
         k=hyper.k,
@@ -481,10 +458,14 @@ def load_model(path):
         hyper = LdaHyperparams(**header["hyper"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"{path}: invalid model header: {exc}")
+    if any(type(getattr(hyper, name)) is not int for name in ("k", "n_iters", "infer_iters", "seed")):
+        raise CorruptFile(f"{path}: model header k, n_iters, infer_iters and seed must be integers")
     if len(arrays) != 2 or arrays[0].ndim != 2 or arrays[0].shape[1] != len(words) or not arrays[0].size:
         raise CorruptFile(f"{path}: phi is not a nonempty (k, V) matrix over the header word list")
     phi, thetas = arrays
     k = phi.shape[0]
+    if hyper.k != k:
+        raise CorruptFile(f"{path}: model header k={hyper.k} but phi has {k} rows")
     if thetas.shape != (len(doc_ids), k) or len(set(doc_ids)) != len(doc_ids):
         raise CorruptFile(f"{path}: thetas do not match the header doc ids")
     error = _distribution_rows_error("phi", phi) or _distribution_rows_error("theta", thetas)

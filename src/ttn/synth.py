@@ -4,7 +4,9 @@ Each topic owns a disjoint vocabulary of stemmer-stable nonsense words and a
 visual signature (a dominant color channel plus a simple shape). Documents
 draw their tokens from their topic's vocabulary only, and every document's
 images carry that topic's signature, so ground truth is known exactly and
-desk-scale pipelines can be scored against it.
+desk-scale pipelines can be scored against it. Three colors and three shapes
+give N_SIGNATURES distinct signatures; topics past them have vocabularies but
+no images.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .fileio import atomic_write, write_ppm
 # No vowels, no s/e/d/g endings: these letters survive tokenize + normalize
 # unchanged, so planted words are their own stems.
 _LETTERS = "bcfkmnprtvw"
+
+N_SIGNATURES = 9
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ def _draw_shape(image, topic, rng, size):
     left = int(rng.integers(0, size - extent + 1))
     color = np.full(3, 0.08)
     color[channel] = 0.95
-    kind = topic % 3
+    kind = (topic + topic // 3) % 3  # with color topic % 3, one pair per topic 0-8
     ys, xs = np.mgrid[0:extent, 0:extent]
     if kind == 0:  # filled square
         mask = np.ones((extent, extent), dtype=bool)
@@ -94,6 +98,8 @@ def _draw_shape(image, topic, rng, size):
 
 def render_image(topic, rng, size):
     """A noisy background washed with the topic color, plus the topic shape."""
+    if not 0 <= topic < N_SIGNATURES:
+        raise ValueError(f"topic {topic} has no visual signature; images exist for topics 0-{N_SIGNATURES - 1}")
     image = rng.uniform(0.15, 0.35, size=(3, size, size))
     image[topic % 3] += 0.35
     _draw_shape(image, topic, rng, size)
@@ -127,6 +133,8 @@ def write_dataset(cfg, out_dir):
     image_labels.csv (relative image path,topic for both splits), and
     queries.json (ten planted one-word queries per topic).
     """
+    if cfg.n_topics > N_SIGNATURES and (cfg.images_per_doc or cfg.held_out_per_topic):
+        raise ValueError(f"images exist for at most {N_SIGNATURES} topics, got {cfg.n_topics}")
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "heldout"), exist_ok=True)
     docs, labels = make_documents(cfg)

@@ -30,7 +30,7 @@ SYNTH_CFG = synth.SynthConfig(
 )
 
 LDA_HYPER = lda_mod.LdaHyperparams(
-    k=3, alpha=0.1, beta_prior=0.01, n_iters=120, burn_in=60, infer_iters=40, seed=11
+    k=3, alpha=0.1, beta_prior=0.01, n_iters=120, infer_iters=40, seed=11
 )
 
 SGD_CFG = nn.SgdConfig(base_lr=0.001, batch_size=64, max_iters=2000)

@@ -96,7 +96,7 @@ def planted_lda():
         base = 4 * (i % 2)
         bows.append(corpus.BowDocument(f"d{i:02d}", {base + j: 5 for j in range(4)}))
     hyper = lda.LdaHyperparams(
-        k=2, alpha=0.1, beta_prior=0.01, n_iters=200, burn_in=100, seed=1
+        k=2, alpha=0.1, beta_prior=0.01, n_iters=200, seed=1
     )
     t0 = time.perf_counter()
     model = lda.train(bows, hyper, WORDS8)
@@ -414,7 +414,7 @@ def test_acceptance_11_topic_sweep_selects_planted_k(pipeline_run, capsys):
         "eval", "sweep", pipeline_run.manifest["corpus"],
         "--ks", "2,3,5,8",
         "--labels", os.path.join(pipeline_run.data_dir, "labels.csv"),
-        "--alpha", "0.1", "--iters", "80", "--burn-in", "40",
+        "--alpha", "0.1", "--iters", "80",
         "--infer-iters", "40", "--seed", "0", "--min-df", "5",
     ])
     lines = capsys.readouterr().out.splitlines()

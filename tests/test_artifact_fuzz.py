@@ -26,7 +26,7 @@ def _model():
     words = ("aaa", "bbb", "ccc", "ddd")
     return lda.LdaModel(
         vocab_size=4, k=2, phi=rng.dirichlet(np.ones(4), size=2),
-        hyper=lda.LdaHyperparams(k=2, n_iters=4, burn_in=1, seed=3),
+        hyper=lda.LdaHyperparams(k=2, n_iters=4, seed=3),
         doc_thetas={f"doc{i}": rng.dirichlet(np.ones(2)) for i in range(3)}, words=words,
     )
 
@@ -158,7 +158,9 @@ def test_damaged_artifact_raises_only_data_error(valid_files, kind, ops):
         pass
 
 
-@pytest.mark.parametrize("kind, old_magic", [("model", b"TTNLDA1\x00"), ("checkpoint", b"TTNNET1\x00")])
+@pytest.mark.parametrize("kind, old_magic", [
+    ("model", b"TTNLDA1\x00"), ("model", b"TTNLDA2\x00"), ("checkpoint", b"TTNNET1\x00"),
+])
 def test_previous_format_version_rejected(valid_files, kind, old_magic):
     root, files = valid_files
     path = os.path.join(root, f"old_{kind}")
@@ -175,8 +177,12 @@ def test_previous_format_version_rejected(valid_files, kind, old_magic):
         ("index", b'"epsilon":1e-10', b'"epsilon":NaN'),
         ("index", b'"epsilon":1e-10', b'"epsilon":' + b"9" * 400),
         ("index", b'"epsilon":1e-10', b'"epsilon":-1.0'),
+        ("model", b'"infer_iters":50', b'"infer_iters":2.5'),
+        ("model", b'"seed":3', b'"seed":true'),
+        ("model", b'"k":2', b'"k":7'),
     ],
-    ids=["iteration-overflow", "nan-epsilon", "int-epsilon-overflow", "negative-epsilon"],
+    ids=["iteration-overflow", "nan-epsilon", "int-epsilon-overflow", "negative-epsilon",
+         "float-infer-iters", "bool-seed", "k-not-phi-rows"],
 )
 def test_out_of_range_header_numbers_rejected(valid_files, kind, field, value):
     root, files = valid_files

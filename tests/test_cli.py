@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ttn.cli import main
+from ttn.cli import build_parser, main
 from ttn.fileio import MAGIC_FEATURES, MAGIC_LDA
 
 
@@ -38,7 +39,7 @@ def workspace(tmp_path_factory):
     assert main(["vocab", "build", paths["corpus"], "-o", paths["vocab"], "--min-df", "2"]) == 0
     assert main([
         "lda", "train", paths["corpus"], paths["vocab"], "-o", paths["model"],
-        "-k", "2", "--alpha", "0.1", "--iters", "60", "--burn-in", "30", "--seed", "0",
+        "-k", "2", "--alpha", "0.1", "--iters", "60", "--seed", "0",
     ]) == 0
     assert main([
         "net", "train", paths["corpus"], paths["model"], "-o", paths["netdir"],
@@ -350,7 +351,7 @@ def test_index_build_rejects_checkpoint_of_another_model(workspace, tmp_path, ca
     other = str(tmp_path / "other.lda")
     assert main([
         "lda", "train", workspace["corpus"], workspace["vocab"], "-o", other,
-        "-k", "2", "--alpha", "0.1", "--iters", "5", "--burn-in", "2", "--seed", "1",
+        "-k", "2", "--alpha", "0.1", "--iters", "5", "--seed", "1",
     ]) == 0
     capsys.readouterr()
     assert main([
@@ -404,10 +405,8 @@ DEEP = "[" * 200_000  # nested far beyond the JSON parser's recursion limit
         ("vocab", DEEP),
         ("lda", DEEP),
         ("spec", DEEP),
-        ("config", DEEP),
-        ("config", "[]"),
     ],
-    ids=["corpus-line", "vocab", "spec", "config", "config-not-an-object"],
+    ids=["corpus-line", "vocab", "spec"],
 )
 def test_unparsable_json_inputs_exit_3(workspace, tmp_path, capsys, command, text):
     path = str(tmp_path / "input.json")
@@ -419,7 +418,6 @@ def test_unparsable_json_inputs_exit_3(workspace, tmp_path, capsys, command, tex
         "vocab": ["vocab", "build", path, "-o", str(tmp_path / "vocab.json")],
         "lda": ["lda", "train", workspace["corpus"], path, "-o", str(tmp_path / "m.lda"), "-k", "2"],
         "spec": net + ["--spec", path],
-        "config": net + ["--config", path],
     }[command]
     assert main(argv) == 3
     assert "CorruptFile" in capsys.readouterr().err
@@ -445,71 +443,61 @@ def test_eval_sweep_selects_planted_topic_count(workspace, capsys):
     labels = os.path.join(workspace["data"], "labels.csv")
     assert main([
         "eval", "sweep", workspace["corpus"], "--ks", "2,4", "--labels", labels,
-        "--alpha", "0.1", "--iters", "40", "--burn-in", "20", "--seed", "0",
+        "--alpha", "0.1", "--iters", "40", "--seed", "0",
     ]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "k,score"
     assert lines[-1] == "best_k,2"  # two planted topics; ties resolve to smaller k
 
 
-def test_config_file_with_flag_override(workspace, tmp_path):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(
-        json.dumps({"sgd": {"base_lr": 0.5, "max_iters": 6}, "seed": 9}), encoding="utf-8"
-    )
+def test_effective_config_records_flags(workspace, tmp_path):
     out = str(tmp_path / "net")
     assert main([
         "net", "train", workspace["corpus"], workspace["model"], "-o", out,
-        "--config", str(cfg_path), "--base-lr", "0.01", "--batch-size", "4",
+        "--iters", "6", "--base-lr", "0.01", "--batch-size", "4", "--seed", "9",
     ]) == 0
     with open(os.path.join(out, "effective_config.json"), encoding="utf-8") as fh:
         effective = json.load(fh)
-    assert effective["sgd"]["base_lr"] == 0.01  # flag wins over config file
-    assert effective["sgd"]["max_iters"] == 6   # config file wins over default
-    assert effective["seed"] == 9
+    assert effective == {
+        "corpus": workspace["corpus"],
+        "model": workspace["model"],
+        "out_dir": out,
+        "image_root": workspace["data"],
+        "spec": "tiny",
+        "sgd": {"base_lr": 0.01, "lr_decay": 0.1, "lr_step": 50_000, "momentum": 0.9,
+                "batch_size": 4, "max_iters": 6},
+        "augment": {"crop_size": 32, "mirror_prob": 0.5, "seed": 9},
+        "seed": 9,
+        "infer_missing": False,
+        "checkpoint_every": 0,
+    }
     with open(os.path.join(out, "loss.csv"), encoding="utf-8") as fh:
         assert len(fh.read().splitlines()) == 7
 
 
 @pytest.mark.parametrize(
-    "config",
+    "argv",
     [
-        {"sgd": {"bogus": 1}},
-        {"sgd": 5},
-        {"augment": 5},
-        {"sgd": {"batch_size": "x"}},
-        {"seed": "abc"},
-        {"sgd": {"max_iters": 2.5}},
-        {"sgd": {"base_lr": True}},
-        {"sgd": {"base_lr": 1e400}},
-        {"augment": {"crop_size": 32, "flip": True}},
-        {"spec": [1]},
-        {"spec": 1.5},
-        {"spec": 5},
-        {"spec": True},
+        ["net", "train", "c.jsonl", "m.lda", "-o", "net", "--config", "run.json"],
+        ["lda", "train", "c.jsonl", "v.json", "-o", "m.lda", "--average"],
+        ["lda", "train", "c.jsonl", "v.json", "-o", "m.lda", "--burn-in", "5"],
+        ["eval", "sweep", "c.jsonl", "--ks", "2", "--labels", "l.csv", "--burn-in", "5"],
     ],
-    ids=["unknown-sgd-field", "sgd-not-an-object", "augment-not-an-object", "string-batch-size",
-         "string-seed", "float-iterations", "bool-rate", "infinite-rate", "unknown-augment-field",
-         "list-spec", "float-spec", "int-spec", "bool-spec"],
+    ids=["net-train-config", "lda-train-average", "lda-train-burn-in", "eval-sweep-burn-in"],
 )
-def test_malformed_run_config_exits_3(workspace, tmp_path, capsys, config):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+def test_removed_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_val_labels_need_val_features(workspace, capsys):
+    labels = os.path.join(workspace["data"], "image_labels.csv")
     assert main([
-        "net", "train", workspace["corpus"], workspace["model"], "-o", str(tmp_path / "net"),
-        "--iters", "1", "--batch-size", "4", "--config", str(path),
+        "eval", "svm", "--features", workspace["features"], "--labels", labels, "--val-labels", labels,
     ]) == 3
-    assert "CorruptFile: " in capsys.readouterr().err
-    assert not (tmp_path / "net" / "final.ckpt").exists()
-
-
-def test_effective_config_reads_back_as_config(workspace, tmp_path):
-    # Every field a run echoes into effective_config.json passes the checks.
-    out = str(tmp_path / "net")
-    assert main([
-        "net", "train", workspace["corpus"], workspace["model"], "-o", out,
-        "--config", os.path.join(workspace["netdir"], "effective_config.json"), "--iters", "2",
-    ]) == 0
+    assert "--val-labels needs --val-features" in capsys.readouterr().err
 
 
 def test_cli_training_deterministic(workspace, tmp_path):
@@ -534,3 +522,19 @@ def test_synthetic_pipeline_script_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert re.search(r"^text->image retrieval .*: MAP = \d\.\d{3}$", proc.stdout, re.MULTILINE)
+    assert re.search(
+        r"^held-out fc7 SVM mAP: trained = \d\.\d{3}, random init = \d\.\d{3}$", proc.stdout, re.MULTILINE
+    )
+
+
+def test_readme_walkthrough_commands_parse():
+    # A flag the docs name but the parser no longer has fails here.
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Walkthrough on synthetic data", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("ttn ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])

@@ -226,7 +226,7 @@ def test_cluster_purity_validates():
 
 def test_topic_sweep_selects_best_scoring_k():
     bows = [BowDocument(f"d{i}", {i % 4: 3, (i % 4 + 1) % 4: 1}) for i in range(8)]
-    hyper = lda_mod.LdaHyperparams(k=2, alpha=0.5, n_iters=5, burn_in=2, seed=0)
+    hyper = lda_mod.LdaHyperparams(k=2, alpha=0.5, n_iters=5, seed=0)
     seen = []
 
     def fake_eval(k, model):
@@ -250,7 +250,7 @@ def test_topic_sweep_recovers_planted_block_count():
         doc_id = f"d{i:03d}"
         bows.append(BowDocument(doc_id, {int(a): int(b) for a, b in zip(ids, counts)}))
         labels[doc_id] = block
-    hyper = lda_mod.LdaHyperparams(k=2, alpha=0.1, n_iters=60, burn_in=30, seed=1)
+    hyper = lda_mod.LdaHyperparams(k=2, alpha=0.1, n_iters=60, seed=1)
 
     def purity_eval(k, model):
         assignments = [int(np.argmax(model.doc_thetas[b.doc_id])) for b in bows]

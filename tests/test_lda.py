@@ -34,7 +34,7 @@ def _planted_corpus(n_docs=20, tokens_per_doc=20, seed=0):
 @pytest.fixture(scope="module")
 def planted_model():
     bows = _planted_corpus()
-    hyper = L.LdaHyperparams(k=2, alpha=0.1, beta_prior=0.01, n_iters=200, burn_in=100, seed=1)
+    hyper = L.LdaHyperparams(k=2, alpha=0.1, beta_prior=0.01, n_iters=200, seed=1)
     return bows, L.train(bows, hyper, WORDS8)
 
 
@@ -61,7 +61,7 @@ def test_hyperparam_validation():
     with pytest.raises(ValueError):
         L.LdaHyperparams(beta_prior=-1.0)
     with pytest.raises(ValueError):
-        L.LdaHyperparams(average_after_burn_in=True, burn_in=200, n_iters=200)
+        L.LdaHyperparams(n_iters=-1)
 
 
 # -------------------------------------------------------------------- sampler
@@ -288,7 +288,7 @@ def test_planted_thetas_separate_docs(planted_model):
 
 def test_single_doc_high_alpha_theta_near_uniform():
     bow = BowDocument("solo", {0: 2, 5: 2})
-    hyper = L.LdaHyperparams(k=2, alpha=50.0, n_iters=20, burn_in=10, seed=0)
+    hyper = L.LdaHyperparams(k=2, alpha=50.0, n_iters=20, seed=0)
     model = L.train([bow], hyper, WORDS8)
     theta = model.doc_thetas["solo"]
     # theta = (n_dk + 50) / (4 + 100), n_dk <= 4, so both entries sit near 0.5.
@@ -321,7 +321,7 @@ def test_infer_single_word_follows_phi(planted_model):
 
 
 def test_infer_rejects_empty():
-    hyper = L.LdaHyperparams(k=2, n_iters=2, burn_in=1, seed=0)
+    hyper = L.LdaHyperparams(k=2, n_iters=2, seed=0)
     model = L.train(_planted_corpus(4), hyper, WORDS8)
     with pytest.raises(EmptyDocument):
         L.infer(BowDocument("q", {}), model, seed=0)
@@ -331,7 +331,7 @@ def test_infer_rejects_empty():
 
 def _uniform_model(k, vocab_size, words):
     phi = np.full((k, vocab_size), 1.0 / vocab_size)
-    hyper = L.LdaHyperparams(k=k, alpha=1.0, n_iters=1, burn_in=0, infer_iters=2, seed=0)
+    hyper = L.LdaHyperparams(k=k, alpha=1.0, n_iters=1, infer_iters=2, seed=0)
     return L.LdaModel(
         vocab_size=vocab_size, k=k, phi=phi, hyper=hyper, doc_thetas={}, words=words
     )
@@ -346,7 +346,7 @@ def test_perplexity_uniform_phi_equals_vocab_size():
 
 def test_perplexity_k1_matches_unigram_oracle():
     bows = _planted_corpus(n_docs=10, seed=3)
-    hyper = L.LdaHyperparams(k=1, alpha=1.0, n_iters=3, burn_in=1, seed=0)
+    hyper = L.LdaHyperparams(k=1, alpha=1.0, n_iters=3, seed=0)
     model = L.train(bows, hyper, WORDS8)
 
     counts = np.zeros(8)
@@ -371,7 +371,7 @@ def test_trained_model_beats_uniform(planted_model):
 
 def test_top_words_breaks_ties_lexicographically():
     phi = np.array([[0.25, 0.25, 0.25, 0.25]])
-    hyper = L.LdaHyperparams(k=1, n_iters=1, burn_in=0, seed=0)
+    hyper = L.LdaHyperparams(k=1, n_iters=1, seed=0)
     model = L.LdaModel(
         vocab_size=4, k=1, phi=phi, hyper=hyper, doc_thetas={}, words=("dd", "cc", "bb", "aa")
     )
@@ -493,7 +493,7 @@ def test_model_file_trailing_garbage(tmp_path, planted_model):
 
 def test_training_bit_reproducible():
     bows = _planted_corpus(n_docs=8)
-    hyper = L.LdaHyperparams(k=3, alpha=0.2, n_iters=30, burn_in=10, seed=42)
+    hyper = L.LdaHyperparams(k=3, alpha=0.2, n_iters=30, seed=42)
     a = L.train(bows, hyper, WORDS8)
     b = L.train(bows, hyper, WORDS8)
     assert a.phi.tobytes() == b.phi.tobytes()
@@ -503,20 +503,9 @@ def test_training_bit_reproducible():
 
 def test_training_seed_changes_model():
     bows = _planted_corpus(n_docs=8)
-    h1 = L.LdaHyperparams(k=3, alpha=0.2, n_iters=10, burn_in=5, seed=1)
-    h2 = L.LdaHyperparams(k=3, alpha=0.2, n_iters=10, burn_in=5, seed=2)
+    h1 = L.LdaHyperparams(k=3, alpha=0.2, n_iters=10, seed=1)
+    h2 = L.LdaHyperparams(k=3, alpha=0.2, n_iters=10, seed=2)
     assert not np.array_equal(L.train(bows, h1, WORDS8).phi, L.train(bows, h2, WORDS8).phi)
-
-
-def test_averaged_estimates_differ_but_stay_on_simplex():
-    bows = _planted_corpus(n_docs=8)
-    hyper = L.LdaHyperparams(
-        k=2, alpha=0.2, n_iters=30, burn_in=10, seed=5, average_after_burn_in=True
-    )
-    model = L.train(bows, hyper, WORDS8)
-    np.testing.assert_allclose(model.phi.sum(axis=1), 1.0, rtol=1e-12)
-    for theta in model.doc_thetas.values():
-        assert theta.sum() == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------- invariants
@@ -537,7 +526,7 @@ def test_averaged_estimates_differ_but_stay_on_simplex():
 )
 def test_model_outputs_on_simplex(count_dicts, k):
     bows = [BowDocument(f"d{i:02d}", counts) for i, counts in enumerate(count_dicts)]
-    hyper = L.LdaHyperparams(k=k, alpha=0.5, n_iters=5, burn_in=2, seed=0)
+    hyper = L.LdaHyperparams(k=k, alpha=0.5, n_iters=5, seed=0)
     model = L.train(bows, hyper, WORDS8)
     assert model.phi.shape == (k, 8)
     assert np.all(model.phi > 0)

@@ -340,7 +340,7 @@ def tiny_model():
         BowDocument("d2", {0: 4, 1: 6}),
         BowDocument("d3", {2: 6, 3: 4}),
     ]
-    hyper = lda_mod.LdaHyperparams(k=2, alpha=0.1, n_iters=80, burn_in=40, seed=2)
+    hyper = lda_mod.LdaHyperparams(k=2, alpha=0.1, n_iters=80, seed=2)
     return lda_mod.train(bows, hyper, WORDS)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -112,3 +113,40 @@ def test_synth_config_validation():
         with pytest.raises(ValueError):
             synth.SynthConfig(**{field: -1})
     synth.SynthConfig(images_per_doc=0, held_out_per_topic=0)  # zero stays allowed
+
+
+def _dataset_digest(root):
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in sorted(os.walk(root)):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            h.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()
+
+
+# The fixtures and the benchmark generate at most 3 topics; these digests pin
+# their data, so a change to the signatures of topics 3-8 cannot move it.
+@pytest.mark.parametrize("n_topics, digest", [
+    (1, "384515716014ba805c0bf3260e297e869e443b2cbaad06479925117996034628"),
+    (2, "5511a506c1fd90d00ed16cc7dde26b9c6621536456e35159bcf0da69ec0dc3da"),
+    (3, "4bacf74bbadc7cb055692e9fc5801c2b9bbd5d98b9df4ad72789b87da0154c8c"),
+])
+def test_three_topic_datasets_unchanged(tmp_path, n_topics, digest):
+    cfg = synth.SynthConfig(n_topics=n_topics, docs_per_topic=3, tokens_per_doc=6, words_per_topic=5,
+                            images_per_doc=2, held_out_per_topic=2, image_size=12, seed=5)
+    synth.write_dataset(cfg, str(tmp_path))
+    assert _dataset_digest(str(tmp_path)) == digest
+
+
+def test_each_topic_has_its_own_signature(tmp_path):
+    # Same draws for every topic: images differ only by color and shape.
+    images = [synth.render_image(t, np.random.default_rng(0), 16).tobytes() for t in range(synth.N_SIGNATURES)]
+    assert len(set(images)) == synth.N_SIGNATURES == 9
+    with pytest.raises(ValueError, match="no visual signature"):
+        synth.render_image(synth.N_SIGNATURES, np.random.default_rng(0), 16)
+    with pytest.raises(ValueError, match="at most 9 topics"):
+        synth.write_dataset(synth.SynthConfig(n_topics=10, docs_per_topic=1), str(tmp_path / "ten"))
+    assert not (tmp_path / "ten").exists()  # refused before anything is written

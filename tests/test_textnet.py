@@ -56,7 +56,7 @@ def small_model(synth_dataset):
     docs = corpus_mod.load_corpus(manifest["corpus"])
     vocab = corpus_mod.build_vocabulary(docs, min_df=2, max_df_ratio=0.9)
     bows = [corpus_mod.doc_to_bow(d, vocab) for d in docs]
-    hyper = lda_mod.LdaHyperparams(k=2, alpha=0.1, n_iters=60, burn_in=30, seed=0)
+    hyper = lda_mod.LdaHyperparams(k=2, alpha=0.1, n_iters=60, seed=0)
     return docs, lda_mod.train(bows, hyper, vocab.words)
 
 
