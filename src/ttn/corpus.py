@@ -35,8 +35,21 @@ def tokenize(text):
 def stem(token):
     """Strip common English suffixes from a lowercase token.
 
-    This is a small deterministic stand-in for a full stemmer. Rules, in
-    order:
+    This is a small deterministic stand-in for a full stemmer. One pass of
+    the rules below can expose another suffix ("aaases" -> "aaas",
+    "speeded" -> "speed"), so passes repeat until the word stops changing;
+    every change shortens it, so this ends, and stem(stem(w)) == stem(w).
+    """
+    word = token
+    while True:
+        shorter = _strip_suffixes(word)
+        if shorter == word:
+            return word
+        word = shorter
+
+
+def _strip_suffixes(token):
+    """One pass of stem's rules, in order:
 
     1. plurals: "-sses" -> "-ss"; "-ies" -> "-y" when the token has five or
        more letters; "-xes"/"-ses"/"-zes"/"-ches"/"-shes" drop the "es";

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 
@@ -460,6 +461,11 @@ def load_model(path):
         raise CorruptFile(f"{path}: invalid model header: {exc}")
     if any(type(getattr(hyper, name)) is not int for name in ("k", "n_iters", "infer_iters", "seed")):
         raise CorruptFile(f"{path}: model header k, n_iters, infer_iters and seed must be integers")
+    # JSON numbers only: a bool would pass as 0 or 1, and an int past the
+    # float range would fail only once folding in converts it.
+    priors = [hyper.beta_prior] if hyper.alpha is None else [hyper.alpha, hyper.beta_prior]
+    if any(type(v) not in (int, float) or v > sys.float_info.max for v in priors):
+        raise CorruptFile(f"{path}: model header alpha (or null) and beta_prior must be finite numbers")
     if len(arrays) != 2 or arrays[0].ndim != 2 or arrays[0].shape[1] != len(words) or not arrays[0].size:
         raise CorruptFile(f"{path}: phi is not a nonempty (k, V) matrix over the header word list")
     phi, thetas = arrays

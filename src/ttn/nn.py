@@ -13,10 +13,11 @@ patches per layer and training step. Max pooling is a running np.maximum
 over the w*w window-offset views; its backward recomputes the first-max
 mask from the cached input and output. Backward passes are exact
 reverse-mode gradients, checkable against central finite differences via
-gradient_check(). Training and inference run in float64. The kernels
-keep the dtype they are given, so float32 parameters and inputs run through
-them too; the kernel tests check both precisions against a reference
-implementation.
+gradient_check(). The net runs in float32, as Caffe's blobs do:
+init_params returns float32 tensors, and the loss returns its gradient in
+the logits' dtype so backward keeps it. The kernels keep the dtype they are
+given; the kernel tests check both precisions against a reference
+implementation, and gradient_check runs on float64 copies.
 """
 
 from __future__ import annotations
@@ -280,7 +281,8 @@ def init_params(spec, seed):
     Weights are drawn from U(-sqrt(6/fan_in), sqrt(6/fan_in)), which has
     standard deviation sqrt(2/fan_in), where fan_in is the product of the
     weight shape past its first axis. Layers are visited in declaration
-    order with a single seeded generator, so a seed pins every tensor.
+    order with a single seeded generator, so a seed pins every tensor. The
+    float64 draws are rounded to the net's float32.
     """
     rng = np.random.default_rng(seed)
     params = []
@@ -290,8 +292,8 @@ def init_params(spec, seed):
             continue
         w_shape, b_shape = shapes
         limit = np.sqrt(6.0 / math.prod(w_shape[1:]))
-        w = rng.uniform(-limit, limit, size=w_shape)
-        b = np.zeros(b_shape)
+        w = rng.uniform(-limit, limit, size=w_shape).astype(np.float32)
+        b = np.zeros(b_shape, dtype=np.float32)
         params.append(LayerParams(w, b, np.zeros_like(w), np.zeros_like(b)))
     return params
 
@@ -483,6 +485,7 @@ def sigmoid_cross_entropy(logits, targets):
 
     loss = mean over the batch of sum_k [max(x,0) - x*t + log(1 + exp(-|x|))],
     grad = (sigmoid(x) - t) / B. Targets may be soft (anywhere in [0, 1]).
+    The gradient has the logits' float dtype, so backward runs in it.
     """
     logits = np.asarray(logits)
     targets = np.asarray(targets)
@@ -495,7 +498,7 @@ def sigmoid_cross_entropy(logits, targets):
     b = logits.shape[0]
     elem = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
     loss = float(elem.sum() / b)
-    grad = (sigmoid(logits) - targets) / b
+    grad = ((sigmoid(logits) - targets) / b).astype(np.promote_types(logits.dtype, np.float32), copy=False)
     return loss, grad
 
 
@@ -523,7 +526,13 @@ def gradient_check(spec, params, batch, targets, epsilon=1e-5, max_checks_per_te
     where rel(a, n) = |a - n| / max(|a|, |n|, 1e-3). The floor keeps finite-
     difference roundoff from dominating near-zero gradients. Set
     max_checks_per_tensor to sample large tensors instead of sweeping them.
+    It runs on float64 copies of params and batch: a float32 loss could not
+    resolve an epsilon-sized step.
     """
+    params = [None if p is None else LayerParams(*(t.astype(np.float64) for t in (
+        p.weight, p.bias, p.weight_momentum, p.bias_momentum))) for p in params]
+    batch = np.asarray(batch, dtype=np.float64)
+
     def eval_loss():
         logits, _ = forward(spec, params, batch)
         value, _ = sigmoid_cross_entropy(logits, targets)

@@ -181,7 +181,7 @@ def train(pairs, spec, sgd_cfg, aug_cfg, seed, *, start=None, checkpoint_every=N
     for iteration in range(start.iteration, sgd_cfg.max_iters):
         idx = [_pair_index(seed, n, iteration * batch + j, perm_cache) for j in range(batch)]
         views = [augment(pairs[i].image, aug_cfg, iteration * batch + j) for j, i in enumerate(idx)]
-        x = np.stack(views).astype(np.float64, copy=False)
+        x = np.stack(views).astype(np.float32)
         logits, cache = nn.forward(spec, params, x)
         loss, grad_logits = nn.sigmoid_cross_entropy(logits, targets[idx])
         if not np.isfinite(loss):
@@ -205,7 +205,7 @@ def predict_topics(checkpoint, image, n_crops=10):
     The views are the center crop and the four corner crops, then the same
     five mirrored, in that order; n_crops takes a prefix of these ten (all
     ten when it is larger). The averaged activations are renormalized to
-    sum to one.
+    sum to one in float64.
     """
     if n_crops < 1:
         raise ValueError(f"n_crops must be >= 1, got {n_crops}")
@@ -217,7 +217,7 @@ def predict_topics(checkpoint, image, n_crops=10):
     corners = [((h - size) // 2, (w - size) // 2), (0, 0), (0, w - size), (h - size, 0), (h - size, w - size)]
     views = [_crop_at(image, top, left, size) for top, left in corners]
     views += [view[:, :, ::-1] for view in views]
-    x = np.ascontiguousarray(np.stack(views[:n_crops]), dtype=np.float64)
+    x = np.ascontiguousarray(np.stack(views[:n_crops]), dtype=np.float32)
     logits, _ = nn.forward(spec, checkpoint.params, x)
     mean_act = nn.sigmoid(logits).mean(axis=0)
     return mean_act / mean_act.sum()
@@ -232,7 +232,7 @@ def extract_features(checkpoint, image, layer_name):
     if min(h, w) < size:
         raise CropTooLarge(f"image {h}x{w} smaller than net input {size}")
     view = _crop_at(image, (h - size) // 2, (w - size) // 2, size)
-    x = np.ascontiguousarray(view[None], dtype=np.float64)
+    x = np.ascontiguousarray(view[None], dtype=np.float32)
     _, cache = nn.forward(spec, checkpoint.params, x)
     return nn.layer_outputs(cache)[index].reshape(-1).copy()
 
@@ -274,6 +274,11 @@ def save_checkpoint(checkpoint, path):
 
 
 def load_checkpoint(path):
+    """The checkpoint save_checkpoint wrote, its tensors in the net's float32.
+
+    The container stores float64, which holds float32 values exactly; a
+    checkpoint written by a float64 net loads rounded to float32.
+    """
     header, arrays = read_tensor_file(path, MAGIC_NET)
     try:
         spec = nn.NetSpec.from_dict(header["spec"])
@@ -287,11 +292,12 @@ def load_checkpoint(path):
     expected = [s for layer in shapes if layer is not None for s in layer + layer]
     if [a.shape for a in arrays] != expected:
         raise CorruptFile(f"{path}: stored tensors do not match the spec's parameter shapes")
-    tensors = iter(arrays)
+    with np.errstate(over="ignore"):  # a value past float32's range becomes inf, refused below
+        tensors = iter([a.astype(np.float32) for a in arrays])
     params = [None if layer is None else nn.LayerParams(*islice(tensors, 4)) for layer in shapes]
     bad = _non_finite_tensor(spec, params)
     if bad:
-        raise CorruptFile(f"{path}: {bad} is not finite")
+        raise CorruptFile(f"{path}: {bad} is not finite in float32")
     return Checkpoint(
         spec=spec,
         params=params,

@@ -180,11 +180,29 @@ def test_previous_format_version_rejected(valid_files, kind, old_magic):
         ("model", b'"infer_iters":50', b'"infer_iters":2.5'),
         ("model", b'"seed":3', b'"seed":true'),
         ("model", b'"k":2', b'"k":7'),
+        ("model", b'"alpha":null', b'"alpha":true'),
+        ("model", b'"beta_prior":0.01', b'"beta_prior":true'),
+        ("model", b'"alpha":null', b'"alpha":"0.5"'),
+        ("model", b'"alpha":null', b'"alpha":' + b"9" * 400),
     ],
     ids=["iteration-overflow", "nan-epsilon", "int-epsilon-overflow", "negative-epsilon",
-         "float-infer-iters", "bool-seed", "k-not-phi-rows"],
+         "float-infer-iters", "bool-seed", "k-not-phi-rows", "bool-alpha", "bool-beta-prior",
+         "string-alpha", "int-alpha-overflow"],
 )
 def test_out_of_range_header_numbers_rejected(valid_files, kind, field, value):
+    path = _rewrite_header(valid_files, kind, field, value)
+    with pytest.raises(CorruptFile):
+        KINDS[kind][1](path)
+
+
+@pytest.mark.parametrize("alpha, effective", [(b"2", 2), (b"0.5", 0.5), (b"null", 25.0)])
+def test_model_header_alpha_takes_numbers_and_null(valid_files, alpha, effective):
+    path = _rewrite_header(valid_files, "model", b'"alpha":null', b'"alpha":' + alpha)
+    assert lda.load_model(path).hyper.effective_alpha == effective
+
+
+def _rewrite_header(valid_files, kind, field, value):
+    """Path of a copy of the valid file of this kind with field replaced by value in its header."""
     root, files = valid_files
     raw = files[kind]
     header = raw[16:_header_end(raw, kind)]
@@ -193,8 +211,7 @@ def test_out_of_range_header_numbers_rejected(valid_files, kind, field, value):
     path = os.path.join(root, f"numbers_{kind}")
     with open(path, "wb") as fh:
         fh.write(raw[:8] + len(header).to_bytes(8, "little") + header + raw[_header_end(raw, kind):])
-    with pytest.raises(CorruptFile):
-        KINDS[kind][1](path)
+    return path
 
 
 @pytest.mark.parametrize("kind", JSON_KINDS)

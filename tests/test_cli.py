@@ -506,11 +506,16 @@ def test_cli_training_deterministic(workspace, tmp_path):
     for out in (out_a, out_b):
         assert main([
             "net", "train", workspace["corpus"], workspace["model"], "-o", out,
-            "--iters", "20", "--batch-size", "4", "--seed", "5",
+            "--iters", "20", "--batch-size", "4", "--seed", "5", "--checkpoint-every", "10",
         ]) == 0
-    with open(os.path.join(out_a, "final.ckpt"), "rb") as fa:
-        with open(os.path.join(out_b, "final.ckpt"), "rb") as fb:
-            assert fa.read() == fb.read()
+    names = sorted(os.listdir(out_a))
+    assert names == sorted(os.listdir(out_b))
+    assert {"final.ckpt", "ckpt_000010.ckpt", "loss.csv", "effective_config.json"} <= set(names)
+    for name in names:
+        a, b = (tmp_path / "a" / name).read_bytes(), (tmp_path / "b" / name).read_bytes()
+        if name == "effective_config.json":  # it records the output directory
+            a = a.replace(out_a.encode(), out_b.encode())
+        assert a == b, name
 
 
 def test_synthetic_pipeline_script_runs(tmp_path):

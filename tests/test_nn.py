@@ -248,7 +248,11 @@ def test_gradient_check_all_params_sigmoid():
     rng = np.random.default_rng(5)
     batch = rng.random((3, 1, 6, 6))
     targets = rng.random((3, 3))
-    assert nn.gradient_check(spec, params, batch, targets) < 1e-4
+    before = nn.copy_params(params)
+    # The check runs on float64 copies; the float32 params stay as they were.
+    assert nn.gradient_check(spec, params, batch.astype(np.float32), targets) < 1e-4
+    assert params[0].weight.dtype == np.float32
+    assert nn.params_equal(params, before)
 
 
 def test_gradient_check_strided_conv_and_overlapping_pool():
@@ -387,7 +391,8 @@ def test_init_he_uniform_statistics():
 
 def test_init_matches_per_layer_reference_draws():
     # Reference: one generator, layers in order, conv fan_in = C*k*k, dense
-    # fan_in = input width. Checkpoints and training runs depend on these bits.
+    # fan_in = input width, float64 draws rounded to the net's float32.
+    # Checkpoints and training runs depend on these bits.
     spec = nn.NetSpec(
         in_shape=(2, 9, 9),
         layers=(nn.Conv2d(4, 5, stride=2, pad=2), nn.Relu(), nn.Flatten(), nn.Dense(7), nn.Dense(3)),
@@ -402,7 +407,7 @@ def test_init_matches_per_layer_reference_draws():
     params = nn.init_params(spec, seed=11)
     weights = [p.weight for p in params if p is not None]
     for got, want in zip(weights, (conv_w, dense1_w, dense2_w)):
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.astype(np.float32).tobytes()
 
 
 def test_init_deterministic_per_seed():

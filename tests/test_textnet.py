@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import importlib
 import os
@@ -240,6 +241,34 @@ def test_train_history_logs_lr_schedule():
     assert all(lr == pytest.approx(0.001) for _, lr, _ in history[10:])
 
 
+def test_train_step_runs_in_float32(monkeypatch):
+    # The net has one dtype: the batch, every layer output, the loss gradient,
+    # every parameter gradient and the updated weights and momenta.
+    seen = []
+    forward, backward = nn.forward, nn.backward
+
+    def recording_forward(spec, params, batch):
+        logits, cache = forward(spec, params, batch)
+        seen.append(("batch", batch))
+        seen.extend((f"output {i}", out) for i, out in enumerate(nn.layer_outputs(cache)))
+        return logits, cache
+
+    def recording_backward(spec, params, cache, grad_logits):
+        grads = backward(spec, params, cache, grad_logits)
+        seen.append(("grad logits", grad_logits))
+        seen.extend((f"grad {i}", g) for i, pair in enumerate(grads) if pair is not None for g in pair)
+        return grads
+
+    monkeypatch.setattr(nn, "forward", recording_forward)
+    monkeypatch.setattr(nn, "backward", recording_backward)
+    checkpoint, _ = textnet.train(_toy_pairs(), nn.tiny_topic_net(3), nn.SgdConfig(batch_size=4, max_iters=1),
+                                  AUG32, seed=0)
+    seen.extend((f"param {i}", t) for i, p in enumerate(checkpoint.params) if p is not None
+                for t in dataclasses.astuple(p))
+    assert len(seen) == 1 + 10 + 1 + 8 + 16
+    assert {name: str(a.dtype) for name, a in seen if a.dtype != np.float32} == {}
+
+
 def test_train_steps_trace_under_train(monkeypatch):
     # The benchmark's tracer swaps these module globals for wrappers, so the
     # loop must look each one up at call time, never through a value bound
@@ -273,7 +302,31 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.sgd == checkpoint.sgd
     assert loaded.seed == checkpoint.seed
     assert loaded.lda_model_hash == "abc123"
-    assert nn.params_equal(loaded.params, checkpoint.params)
+    assert _param_bits(loaded.params) == _param_bits(checkpoint.params)
+    assert {dtype for dtype, _ in _param_bits(loaded.params)} == {"float32"}
+
+
+def _param_bits(params):
+    return [(str(t.dtype), t.tobytes()) for p in params if p is not None for t in dataclasses.astuple(p)]
+
+
+def test_float64_checkpoint_loads_as_float32_and_resumes(tmp_path):
+    # A checkpoint written by a float64 net loads rounded to float32 and
+    # resumes like the float32 checkpoint it rounds to.
+    pairs = _toy_pairs()
+    spec = _toy_spec()
+    half, _ = textnet.train(pairs, spec, dataclasses.replace(FAST_SGD, max_iters=15), AUG32, seed=4)
+    # Off each float32 value by far less than half a float32 ulp.
+    wide = [None if p is None else nn.LayerParams(*(t.astype(np.float64) * (1 + 1e-12) for t in dataclasses.astuple(p)))
+            for p in half.params]
+    assert not np.array_equal(wide[0].weight, wide[0].weight.astype(np.float32))
+    path = str(tmp_path / "wide.ckpt")
+    textnet.save_checkpoint(dataclasses.replace(half, params=wide), path)
+    loaded = textnet.load_checkpoint(path)
+    assert _param_bits(loaded.params) == _param_bits(half.params)
+    resumed, _ = textnet.train(pairs, spec, FAST_SGD, AUG32, seed=4, start=loaded)
+    straight, _ = textnet.train(pairs, spec, FAST_SGD, AUG32, seed=4)
+    assert _param_bits(resumed.params) == _param_bits(straight.params)
 
 
 def test_checkpoint_truncation_detected(tmp_path):
@@ -317,21 +370,33 @@ def test_intermediate_checkpoints_resume_exactly(tmp_path):
 
 # ------------------------------------------------------------------ inference
 
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
-def test_checkpoint_tensors_must_be_finite(tmp_path, value):
+def _checkpoint_with_conv1_weight(path, value):
     checkpoint = _zero_head_checkpoint()
-    path = str(tmp_path / "net.ckpt")
     textnet.save_checkpoint(checkpoint, path)
     header, arrays = read_tensor_file(path, MAGIC_NET)
     del header["shapes"]
-    arrays[0][0, 0, 0, 0] = value  # conv1's weight
+    arrays[0][0, 0, 0, 0] = value
     write_tensor_file(path, MAGIC_NET, header, arrays)
+    return checkpoint
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_checkpoint_tensors_must_be_finite(tmp_path, value):
+    path = str(tmp_path / "net.ckpt")
+    checkpoint = _checkpoint_with_conv1_weight(path, value)
     with pytest.raises(CorruptFile, match="conv1 weight is not finite"):
         textnet.load_checkpoint(path)
     checkpoint.params[-1].bias_momentum[1] = value
     with pytest.raises(DataError, match="fc1 bias momentum is not finite"):
         textnet.save_checkpoint(checkpoint, str(tmp_path / "refused.ckpt"))
     assert not (tmp_path / "refused.ckpt").exists()
+
+
+def test_checkpoint_value_past_float32_range_refused(tmp_path):
+    path = str(tmp_path / "net.ckpt")
+    _checkpoint_with_conv1_weight(path, 1e300)
+    with pytest.raises(CorruptFile, match="conv1 weight is not finite in float32"):
+        textnet.load_checkpoint(path)
 
 
 def _zero_head_checkpoint(k=4, side=8):
@@ -372,7 +437,7 @@ def test_predict_topics_single_crop_is_center():
     image = np.random.default_rng(2).random((3, 36, 36))
     theta = textnet.predict_topics(checkpoint, image, n_crops=1)
     center = image[:, 2:34, 2:34]
-    logits, _ = nn.forward(checkpoint.spec, checkpoint.params, center[None])
+    logits, _ = nn.forward(checkpoint.spec, checkpoint.params, center[None].astype(np.float32))
     expected = nn.sigmoid(logits)[0]
     np.testing.assert_allclose(theta, expected / expected.sum(), rtol=1e-12)
 
@@ -394,7 +459,7 @@ def test_extract_features_shapes_and_consistency():
     logits_vec = textnet.extract_features(checkpoint, image, "fc2")
     assert pool.shape == (32 * 8 * 8,)
     assert fc.shape == (128,)
-    logits, _ = nn.forward(spec, checkpoint.params, image[None])
+    logits, _ = nn.forward(spec, checkpoint.params, image[None].astype(np.float32))
     np.testing.assert_allclose(logits_vec, logits[0], rtol=1e-12)
     with pytest.raises(UnknownLayer):
         textnet.extract_features(checkpoint, image, "pool9")
