@@ -6,18 +6,21 @@ forward and weight gradient are one GEMM each over the whole batch; its
 output is the (B, OC, OH, OW) transposed view of an (OC, B, OH, OW) array.
 A conv layer caches only its (C, B, H+2p, W+2p) padded input. The patch
 matrix, k*k/stride**2 times larger, is freed after the forward GEMM and
-rebuilt in backward for the weight gradient, as Caffe does; the input
-gradient is one (C, OC) x (OC, B*OH*OW) GEMM per kernel tap, added where
-that tap's patches were read. The rebuild costs one more copy of the
-patches per layer and training step. Max pooling is a running np.maximum
-over the w*w window-offset views; its backward recomputes the first-max
-mask from the cached input and output. Backward passes are exact
-reverse-mode gradients, checkable against central finite differences via
-gradient_check(). The net runs in float32, as Caffe's blobs do:
-init_params returns float32 tensors, and the loss returns its gradient in
-the logits' dtype so backward keeps it. The kernels keep the dtype they are
-given; the kernel tests check both precisions against a reference
-implementation, and gradient_check runs on float64 copies.
+rebuilt in backward for the weight gradient, as Caffe does. The input
+gradient is one (C*k*k, OC) x (OC, B*OH*OW) GEMM for the whole patch
+gradient, whose k*k tap rows are then added where those patches were read.
+Max pooling is a running np.maximum over the w*w window-offset views; its
+backward recomputes the first-max mask from the cached input and output.
+Where windows share no input (stride >= window) each input has one writer,
+so the masked gradient is written, not added, and one final += 0.0 turns
+each -0.0 into the +0.0 that adding it to zeros gives. layer_forward and
+layer_backward run one layer; forward and backward loop over them. Backward
+passes are exact reverse-mode gradients, checkable against central finite
+differences via gradient_check(). The net runs in float32, as Caffe's
+blobs do: init_params returns float32 tensors, and the loss returns its
+gradient in the logits' dtype so backward keeps it. The kernels keep the
+dtype they are given; the kernel tests check both precisions against a
+reference implementation, and gradient_check runs on float64 copies.
 """
 
 from __future__ import annotations
@@ -357,14 +360,13 @@ def _conv_backward(grad, layer, w, xp, input_grad=True):
     if not input_grad:
         return None, dw, db
     k, s, p = layer.kernel, layer.stride, layer.pad
-    # One (C, B*OH*OW) patch-gradient tap at a time, added where its patch
-    # was read, so no (C*k*k, B*OH*OW) gradient exists at once.
+    # One GEMM gives the whole (C*k*k, B*OH*OW) patch gradient; each tap's
+    # rows are then added where that tap's patches were read.
+    dcols = (w.reshape(layer.out_channels, -1).T @ g).reshape(c, k, k, b, oh, ow)
     dx = np.zeros(xp.shape, dtype=grad.dtype)
-    tap = np.empty((c, b * oh * ow), dtype=grad.dtype)
     for i in range(k):
         for j in range(k):
-            np.matmul(w[:, :, i, j].T, g, out=tap)
-            dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += tap.reshape(c, b, oh, ow)
+            dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += dcols[:, i, j]
     return dx[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3), dw, db
 
 
@@ -393,13 +395,35 @@ def _pool_backward(grad, layer, cache):
     x, out = cache
     dx = np.zeros_like(x, dtype=grad.dtype)
     taken = np.zeros_like(out, dtype=bool)
+    # Windows that share no input have one writer per input: write there
+    # instead of adding into zeros. For one offset every output maps to a
+    # distinct input, so the strided add is safe when windows overlap.
+    tiled = layer.step >= layer.window
     for view, dview in zip(_pool_views(x, layer), _pool_views(dx, layer)):
         hit = (view == out) & ~taken
         taken |= hit
-        # For one offset every output maps to a distinct input, so the
-        # strided add is safe even when windows overlap.
-        dview += grad * hit
+        if tiled:
+            np.multiply(grad, hit, out=dview)
+        else:
+            dview += grad * hit
+    if tiled:
+        # 0.0 + -0.0 is 0.0: what the additions into zeros would have left
+        dx += 0.0
     return dx
+
+
+def layer_forward(layer, p, x):
+    """One layer's output and the layer-local data its backward needs."""
+    if isinstance(layer, Conv2d):
+        return _conv_forward(x, layer, p.weight, p.bias)
+    if isinstance(layer, Relu):
+        local = x > 0
+        return x * local, local
+    if isinstance(layer, MaxPool2d):
+        return _pool_forward(x, layer)
+    if isinstance(layer, Flatten):
+        return x.reshape(x.shape[0], -1), x.shape
+    return x @ p.weight.T + p.bias, x  # Dense
 
 
 def forward(spec, params, batch):
@@ -414,19 +438,7 @@ def forward(spec, params, batch):
     x = batch
     layer_caches = []
     for layer, p in zip(spec.layers, params):
-        if isinstance(layer, Conv2d):
-            x, local = _conv_forward(x, layer, p.weight, p.bias)
-        elif isinstance(layer, Relu):
-            local = x > 0
-            x = x * local
-        elif isinstance(layer, MaxPool2d):
-            x, local = _pool_forward(x, layer)
-        elif isinstance(layer, Flatten):
-            local = x.shape
-            x = x.reshape(x.shape[0], -1)
-        elif isinstance(layer, Dense):
-            local = x
-            x = x @ p.weight.T + p.bias
+        x, local = layer_forward(layer, p, x)
         layer_caches.append((x, local))
     return x, (batch, layer_caches)
 
@@ -437,6 +449,22 @@ def layer_outputs(cache):
     return [entry[0] for entry in layer_caches]
 
 
+def layer_backward(layer, p, local, g, input_grad=True):
+    """(gradient w.r.t. the layer input, (d_weight, d_bias) or None) from the
+    gradient g w.r.t. its output. input_grad=False lets a convolution skip
+    its input gradient (returned as None)."""
+    if isinstance(layer, Dense):
+        return g @ p.weight, (g.T @ local, g.sum(axis=0))
+    if isinstance(layer, Flatten):
+        return g.reshape(local), None
+    if isinstance(layer, Relu):
+        return g * local, None
+    if isinstance(layer, MaxPool2d):
+        return _pool_backward(g, layer, local), None
+    g, dw, db = _conv_backward(g, layer, p.weight, local, input_grad=input_grad)
+    return g, (dw, db)
+
+
 def backward(spec, params, cache, grad_logits):
     """Exact gradients of the loss w.r.t. every weight and bias.
 
@@ -444,28 +472,12 @@ def backward(spec, params, cache, grad_logits):
     Returns a params-shaped list of (d_weight, d_bias) tuples (None for
     parameterless layers).
     """
-    batch, layer_caches = cache
+    _, layer_caches = cache
     grads = [None] * len(spec.layers)
     g = np.asarray(grad_logits)
     for i in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[i]
-        _, local = layer_caches[i]
-        if isinstance(layer, Dense):
-            inp = local
-            dw = g.T @ inp
-            db = g.sum(axis=0)
-            grads[i] = (dw, db)
-            g = g @ params[i].weight
-        elif isinstance(layer, Flatten):
-            g = g.reshape(local)
-        elif isinstance(layer, Relu):
-            g = g * local
-        elif isinstance(layer, MaxPool2d):
-            g = _pool_backward(g, layer, local)
-        elif isinstance(layer, Conv2d):
-            # nothing reads the gradient of the input batch
-            g, dw, db = _conv_backward(g, layer, params[i].weight, local, input_grad=i > 0)
-            grads[i] = (dw, db)
+        # nothing reads the gradient of the input batch
+        g, grads[i] = layer_backward(spec.layers[i], params[i], layer_caches[i][1], g, input_grad=i > 0)
     return grads
 
 

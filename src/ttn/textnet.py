@@ -160,12 +160,13 @@ def train(pairs, spec, sgd_cfg, aug_cfg, seed, *, start=None, checkpoint_every=N
         raise ShapeMismatch(f"net input must be square, got {spec.in_shape}")
     if aug_cfg.crop_size != in_h:
         raise ShapeMismatch(f"crop_size {aug_cfg.crop_size} != net input side {in_h}")
+    out_dim = spec.out_dim
     for pair in pairs:
         _, h, w = pair.image.shape
         if min(h, w) < aug_cfg.crop_size:
             raise CropTooLarge(f"doc {pair.doc_id!r}: image {h}x{w} smaller than crop")
-        if pair.target.shape != (spec.out_dim,):
-            raise ShapeMismatch(f"doc {pair.doc_id!r}: target dim {pair.target.shape} != net out {spec.out_dim}")
+        if pair.target.shape != (out_dim,):
+            raise ShapeMismatch(f"doc {pair.doc_id!r}: target dim {pair.target.shape} != net out {out_dim}")
 
     params = nn.copy_params(start.params)
     targets = np.stack([p.target for p in pairs]).astype(np.float64)
@@ -187,6 +188,12 @@ def train(pairs, spec, sgd_cfg, aug_cfg, seed, *, start=None, checkpoint_every=N
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss became non-finite at iteration {iteration}")
         grads = nn.backward(spec, params, cache, grad_logits)
+        # Free the batch and forward cache (about 18 MiB at batch 64) before
+        # the next step's forward allocates its own. The gradients stay bound
+        # until the next step's replace them: freeing everything at once let
+        # glibc trim the heap after each step, and every step then faulted
+        # its pages in afresh.
+        del views, x, logits, cache
         nn.sgd_step(params, grads, sgd_cfg, iteration)
         history.append((iteration, nn.learning_rate(sgd_cfg, iteration), loss))
         done = iteration + 1

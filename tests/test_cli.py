@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from ttn import nn
 from ttn.cli import build_parser, main
 from ttn.fileio import MAGIC_FEATURES, MAGIC_LDA
 
@@ -530,6 +531,17 @@ def test_synthetic_pipeline_script_runs(tmp_path):
     assert re.search(
         r"^held-out fc7 SVM mAP: trained = \d\.\d{3}, random init = \d\.\d{3}$", proc.stdout, re.MULTILINE
     )
+
+
+def test_time_net_step_script_runs():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "time_net_step.py")
+    proc = subprocess.run([sys.executable, script, "--steps", "2", "--batch", "4"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in nn.tiny_topic_net(3).layer_names():
+        assert re.search(rf"^{name} +\d+\.\d{{3}} +\d+\.\d{{3}}$", proc.stdout, re.MULTILINE), name
+    for metric in ("step_ms", "minor_faults_per_step", "traced_peak_mib"):
+        assert re.search(rf"^{metric} \d+\.\d+$", proc.stdout, re.MULTILINE), metric
 
 
 def test_readme_walkthrough_commands_parse():

@@ -589,16 +589,24 @@ def test_kernel_bit_identical_to_im2col_argmax_reference(case, dtype):
             assert _bits(got[1]) == _bits(want[1]), f"{name} bias"
 
 
-@pytest.mark.parametrize("window, stride", [(2, 0), (2, 3), (3, 2), (3, 1)], ids=["tiled", "gapped", "overlapping", "stride-1"])
-def test_pool_bit_identical_to_argmax_reference_on_ties(window, stride):
+POOL_CASES = {"tiled": (2, 0), "gapped": (2, 3), "overlapping": (3, 2), "stride-1": (3, 1)}
+
+
+@pytest.mark.parametrize(
+    "window, stride, dtype",
+    [(w, s, dtype) for dtype in (np.float64, np.float32) for w, s in POOL_CASES.values()],
+    ids=list(POOL_CASES) + [f"{c}-float32" for c in POOL_CASES],
+)
+def test_pool_bit_identical_to_argmax_reference_on_ties(window, stride, dtype):
+    # 11 is no multiple of the tiled window, so some inputs lie in no window.
     layer = nn.MaxPool2d(window, stride=stride)
     rng = np.random.default_rng(8)
-    x = _post_relu_ties(rng, (6, 3, 11, 11))
+    x = _post_relu_ties(rng, (6, 3, 11, 11)).astype(dtype)
     x = x * (x > 0)  # -0.0 wherever the input was not positive
     out, cache = nn._pool_forward(x, layer)
     want, ref_cache = _ref_pool_forward(x, layer)
     assert _bits(out) == _bits(want)
-    grad = rng.choice([-1.5, -0.0, 0.0, 2.0], size=out.shape)
+    grad = rng.choice([-1.5, -0.0, 0.0, 2.0], size=out.shape).astype(dtype)
     assert _bits(nn._pool_backward(grad, layer, cache)) == _bits(_ref_pool_backward(grad, layer, ref_cache))
 
 
@@ -626,8 +634,8 @@ def test_backward_skips_first_layer_input_gradient_without_changing_grads(monkey
     spec = nn.tiny_topic_net(3)
     params = nn.init_params(spec, seed=6)
     rng = np.random.default_rng(6)
-    logits, cache = nn.forward(spec, params, rng.random((8, 3, 32, 32)))
-    grad_logits = rng.standard_normal(logits.shape)
+    logits, cache = nn.forward(spec, params, rng.random((8, 3, 32, 32), dtype=np.float32))
+    grad_logits = rng.standard_normal(logits.shape, dtype=np.float32)
     skipped = nn.backward(spec, params, cache, grad_logits)
 
     conv_backward = nn._conv_backward
@@ -648,13 +656,13 @@ def test_backward_skips_first_layer_input_gradient_without_changing_grads(monkey
 def test_train_step_memory_keeps_no_patch_matrix():
     # A conv layer keeps its padded input for backward and rebuilds the
     # patches there; the k*k-times-larger patch matrix of both conv layers
-    # (33 MiB at batch 64) must not outlive its GEMM.
+    # (16 MiB at batch 64 in float32) must not outlive its GEMM.
     spec = nn.tiny_topic_net(3)
     params = nn.init_params(spec, seed=0)
     rng = np.random.default_rng(0)
     batch_size = 64
-    batch = rng.random((batch_size,) + spec.in_shape)
-    grad_logits = rng.standard_normal((batch_size, spec.out_dim))
+    batch = rng.random((batch_size,) + spec.in_shape, dtype=np.float32)
+    grad_logits = rng.standard_normal((batch_size, spec.out_dim), dtype=np.float32)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -667,7 +675,7 @@ def test_train_step_memory_keeps_no_patch_matrix():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < 70 * 2**20, f"forward+backward peaked at {peak / 2**20:.1f} MiB"
+    assert peak < 35 * 2**20, f"forward+backward peaked at {peak / 2**20:.1f} MiB"
     _, layer_caches = cache
     for layer, (_, local), in_shape in zip(spec.layers, layer_caches, [spec.in_shape] + spec.shapes()[:-1]):
         if isinstance(layer, nn.Conv2d):

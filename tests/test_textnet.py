@@ -6,6 +6,7 @@ import dataclasses
 import glob
 import importlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,32 @@ def test_train_step_runs_in_float32(monkeypatch):
                 for t in dataclasses.astuple(p))
     assert len(seen) == 1 + 10 + 1 + 8 + 16
     assert {name: str(a.dtype) for name, a in seen if a.dtype != np.float32} == {}
+
+
+def test_train_holds_one_step_cache_at_a_time():
+    # Each step's batch and forward cache (about 18 MiB at batch 64) are
+    # freed before the next step's forward allocates its own, so three steps
+    # peak where one does.
+    pairs = _toy_pairs(n=64, size=32)
+    spec = nn.tiny_topic_net(3)
+
+    def traced_peak(iters):
+        sgd = nn.SgdConfig(batch_size=64, max_iters=iters)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            textnet.train(pairs, spec, sgd, AUG32, seed=0)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    traced_peak(1)  # warm-up
+    one, three = traced_peak(1), traced_peak(3)
+    assert three - one < 2 * 2**20, f"3 steps peaked {(three - one) / 2**20:.1f} MiB above 1 step"
 
 
 def test_train_steps_trace_under_train(monkeypatch):
