@@ -81,24 +81,22 @@ def main():
          "--iters", str(args.net_iters), "--seed", str(args.seed)], "net train")
     run(["net", "train", os.path.join(data, "corpus.jsonl"), model, "-o", initdir,
          "--iters", "0", "--seed", str(args.seed)], "net init")
-    run(["index", "build", os.path.join(data, "corpus.jsonl"), "-o", index,
-         "--modality", "image", "--ckpt", os.path.join(netdir, "final.ckpt"),
-         "--images-dir", "heldout", "--image-root", data], "index build")
-
-    # score text -> image retrieval against the planted topics
     heldout_topic = {}
     with open(os.path.join(data, "image_labels.csv"), encoding="utf-8") as fh:
         for line in fh:
             path, topic = line.strip().split(",")
             if path.startswith("heldout/"):
                 heldout_topic[path] = int(topic)
-    with open(os.path.join(data, "queries.json"), encoding="utf-8") as fh:
-        queries = json.load(fh)
-
-    # each held-out image as a one-image document, for `net features`
+    # each held-out image as a one-image document, for `index build` and `net features`
     with open(heldout_corpus, "w", encoding="utf-8") as fh:
         for path in sorted(heldout_topic):
             fh.write(json.dumps({"id": path, "text": "", "images": [path]}) + "\n")
+    run(["index", "build", heldout_corpus, "-o", index, "--modality", "image",
+         "--ckpt", os.path.join(netdir, "final.ckpt"), "--image-root", data], "index build")
+
+    # score text -> image retrieval against the planted topics
+    with open(os.path.join(data, "queries.json"), encoding="utf-8") as fh:
+        queries = json.load(fh)
     trained_map = svm_map(os.path.join(netdir, "final.ckpt"), data, heldout_corpus, work, "trained")
     random_map = svm_map(os.path.join(initdir, "final.ckpt"), data, heldout_corpus, work, "init")
 

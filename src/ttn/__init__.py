@@ -6,151 +6,3 @@ each image onto its document's topic distribution, then use the shared topic
 space for cross-modal retrieval and the net's hidden layers as generic image
 features for downstream classification.
 """
-
-from .corpus import (
-    BowDocument,
-    RawDocument,
-    Vocabulary,
-    build_vocabulary,
-    doc_to_bow,
-    load_corpus,
-    normalize,
-    save_corpus,
-    stem,
-    text_to_counts,
-    tokenize,
-)
-from .errors import DataError, NumericError, TtnError
-from .evaluate import (
-    LabeledFeature,
-    LinearSvm,
-    average_precision,
-    classification_map,
-    cluster_purity,
-    l2_normalize,
-    load_features,
-    load_labels,
-    load_scores,
-    mean_ap,
-    save_features,
-    select_lambda,
-    svm_decision,
-    svm_train,
-    topic_sweep,
-    train_one_vs_rest,
-)
-from .fileio import decode_image, read_ppm, read_tensor_file, write_ppm, write_tensor_file
-from .lda import (
-    LdaHyperparams,
-    LdaModel,
-    infer,
-    load_model,
-    perplexity,
-    save_model,
-    top_words,
-    train,
-)
-from .nn import NetSpec, SgdConfig, gradient_check, init_params, learning_rate, tiny_topic_net
-from .retrieval import (
-    IndexEntry,
-    RetrievalIndex,
-    build_index,
-    embed_image,
-    embed_text,
-    format_results,
-    kl_divergence,
-    load_index,
-    query,
-    save_index,
-    symmetric_kl,
-)
-from .synth import SynthConfig, write_dataset
-from .textnet import (
-    AugmentConfig,
-    Checkpoint,
-    TrainingPair,
-    augment,
-    extract_features,
-    load_checkpoint,
-    make_pairs,
-    predict_topics,
-    save_checkpoint,
-)
-from .textnet import train as train_net
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AugmentConfig",
-    "BowDocument",
-    "Checkpoint",
-    "DataError",
-    "IndexEntry",
-    "LabeledFeature",
-    "LdaHyperparams",
-    "LdaModel",
-    "LinearSvm",
-    "NetSpec",
-    "NumericError",
-    "RawDocument",
-    "RetrievalIndex",
-    "SgdConfig",
-    "SynthConfig",
-    "TrainingPair",
-    "TtnError",
-    "Vocabulary",
-    "augment",
-    "average_precision",
-    "build_index",
-    "build_vocabulary",
-    "classification_map",
-    "cluster_purity",
-    "decode_image",
-    "doc_to_bow",
-    "embed_image",
-    "embed_text",
-    "extract_features",
-    "format_results",
-    "gradient_check",
-    "infer",
-    "init_params",
-    "kl_divergence",
-    "l2_normalize",
-    "learning_rate",
-    "load_checkpoint",
-    "load_corpus",
-    "load_features",
-    "load_index",
-    "load_labels",
-    "load_model",
-    "load_scores",
-    "make_pairs",
-    "mean_ap",
-    "normalize",
-    "perplexity",
-    "predict_topics",
-    "query",
-    "read_ppm",
-    "read_tensor_file",
-    "save_checkpoint",
-    "save_corpus",
-    "save_features",
-    "save_index",
-    "save_model",
-    "select_lambda",
-    "stem",
-    "svm_decision",
-    "svm_train",
-    "symmetric_kl",
-    "text_to_counts",
-    "tiny_topic_net",
-    "tokenize",
-    "top_words",
-    "topic_sweep",
-    "train",
-    "train_net",
-    "train_one_vs_rest",
-    "write_dataset",
-    "write_ppm",
-    "write_tensor_file",
-]

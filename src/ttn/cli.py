@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,42 +28,13 @@ from . import synth
 from . import textnet
 from .errors import DataError, EmptyDocument, NumericError, TtnError
 from .fileio import atomic_write, decode_image, parse_json, read_text
-from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 
 log = logging.getLogger("ttn")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective net-training configuration, echoed into the output directory."""
-
-    corpus: str
-    model: str
-    out_dir: str
-    image_root: str
-    spec: str  # "tiny" or a JSON spec file
-    sgd: nn.SgdConfig
-    augment: textnet.AugmentConfig
-    seed: int
-    infer_missing: bool = False
-    checkpoint_every: int = 0
-
-    def __post_init__(self):
-        for path in (self.corpus, self.model):
-            if not os.path.exists(path):
-                raise DataError(f"input path does not exist: {path}")
-        if not os.path.isdir(self.image_root):
-            raise DataError(f"image root does not exist: {self.image_root}")
-
-    def to_json(self):
-        obj = asdict(self)
-        obj["sgd"] = asdict(self.sgd)
-        obj["augment"] = asdict(self.augment)
-        return obj
-
-
-def _stopwords_from(args):
-    return load_stopwords(args.stopwords) if getattr(args, "stopwords", None) else DEFAULT_STOPWORDS
+def _image_root(args):
+    """--image-root, defaulting to the directory holding the corpus file."""
+    return args.image_root or os.path.dirname(os.path.abspath(args.corpus))
 
 
 def _format_vector(vec):
@@ -111,9 +82,7 @@ def cmd_synth(args):
 
 def cmd_vocab_build(args):
     docs = corpus_mod.load_corpus(args.corpus)
-    vocab = corpus_mod.build_vocabulary(
-        docs, min_df=args.min_df, max_df_ratio=args.max_df_ratio, stopwords=_stopwords_from(args)
-    )
+    vocab = corpus_mod.build_vocabulary(docs, min_df=args.min_df, max_df_ratio=args.max_df_ratio)
     vocab.save(args.out)
     log.info("retained %d of the corpus words into %s", len(vocab), args.out)
     return 0
@@ -122,11 +91,11 @@ def cmd_vocab_build(args):
 # --------------------------------------------------------------------------- lda
 
 
-def _corpus_to_bows(docs, vocab, stopwords):
+def _corpus_to_bows(docs, vocab):
     """Bag-of-words per doc; docs with no in-vocabulary token are dropped loudly."""
     bows = []
     for doc in docs:
-        bow = corpus_mod.doc_to_bow(doc, vocab, stopwords)
+        bow = corpus_mod.doc_to_bow(doc, vocab)
         if not bow.counts:
             log.warning("doc %s: no in-vocabulary tokens, dropped", doc.doc_id)
             continue
@@ -150,8 +119,7 @@ def _hyper_from(args):
 def cmd_lda_train(args):
     docs = corpus_mod.load_corpus(args.corpus)
     vocab = corpus_mod.Vocabulary.load(args.vocab)
-    stopwords = _stopwords_from(args)
-    bows = _corpus_to_bows(docs, vocab, stopwords)
+    bows = _corpus_to_bows(docs, vocab)
     model = lda_mod.train(bows, _hyper_from(args), vocab.words)
     lda_mod.save_model(model, args.out)
     log.info("trained k=%d on %d docs -> %s", model.k, len(bows), args.out)
@@ -187,53 +155,56 @@ def _resolve_spec(spec_arg, k, crop_size):
 
 def cmd_net_train(args):
     os.makedirs(args.out, exist_ok=True)
-    cfg = RunConfig(
-        corpus=args.corpus,
-        model=args.model,
-        out_dir=args.out,
-        image_root=args.image_root or os.path.dirname(os.path.abspath(args.corpus)),
-        spec=args.spec,
-        sgd=nn.SgdConfig(
-            base_lr=args.base_lr,
-            lr_decay=args.lr_decay,
-            lr_step=args.lr_step,
-            momentum=args.momentum,
-            batch_size=args.batch_size,
-            max_iters=args.iters,
-        ),
-        augment=textnet.AugmentConfig(crop_size=args.crop_size, mirror_prob=args.mirror_prob, seed=args.seed),
-        seed=args.seed,
-        infer_missing=args.infer_missing,
-        checkpoint_every=args.checkpoint_every,
+    image_root = _image_root(args)
+    sgd_cfg = nn.SgdConfig(
+        base_lr=args.base_lr,
+        lr_decay=args.lr_decay,
+        lr_step=args.lr_step,
+        momentum=args.momentum,
+        batch_size=args.batch_size,
+        max_iters=args.iters,
     )
-    docs = corpus_mod.load_corpus(cfg.corpus)
-    model = lda_mod.load_model(cfg.model)
-    spec = _resolve_spec(cfg.spec, model.k, cfg.augment.crop_size)
+    aug_cfg = textnet.AugmentConfig(crop_size=args.crop_size, mirror_prob=args.mirror_prob, seed=args.seed)
+    if not os.path.isdir(image_root):
+        raise DataError(f"image root does not exist: {image_root}")
+    docs = corpus_mod.load_corpus(args.corpus)
+    model = lda_mod.load_model(args.model)
+    spec = _resolve_spec(args.spec, model.k, aug_cfg.crop_size)
 
-    with atomic_write(os.path.join(cfg.out_dir, "effective_config.json"), "w") as fh:
-        json.dump(cfg.to_json(), fh, sort_keys=True, indent=1)
+    effective = {
+        "corpus": args.corpus,
+        "model": args.model,
+        "out_dir": args.out,
+        "image_root": image_root,
+        "spec": args.spec,
+        "sgd": asdict(sgd_cfg),
+        "augment": asdict(aug_cfg),
+        "seed": args.seed,
+        "infer_missing": args.infer_missing,
+        "checkpoint_every": args.checkpoint_every,
+    }
+    with atomic_write(os.path.join(args.out, "effective_config.json"), "w") as fh:
+        json.dump(effective, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
-    pairs = textnet.make_pairs(
-        docs, model, cfg.image_root, infer_missing=cfg.infer_missing, infer_seed=cfg.seed
-    )
-    log.info("training on %d pairs for %d iterations", len(pairs), cfg.sgd.max_iters)
+    pairs = textnet.make_pairs(docs, model, image_root, infer_missing=args.infer_missing, infer_seed=args.seed)
+    log.info("training on %d pairs for %d iterations", len(pairs), sgd_cfg.max_iters)
     checkpoint, history = textnet.train(
         pairs,
         spec,
-        cfg.sgd,
-        cfg.augment,
-        cfg.seed,
-        checkpoint_every=cfg.checkpoint_every or None,
-        checkpoint_dir=cfg.out_dir,
+        sgd_cfg,
+        aug_cfg,
+        args.seed,
+        checkpoint_every=args.checkpoint_every or None,
+        checkpoint_dir=args.out,
         lda_model_hash=model.content_hash(),
     )
-    textnet.save_checkpoint(checkpoint, os.path.join(cfg.out_dir, "final.ckpt"))
-    with atomic_write(os.path.join(cfg.out_dir, "loss.csv"), "w") as fh:
+    textnet.save_checkpoint(checkpoint, os.path.join(args.out, "final.ckpt"))
+    with atomic_write(os.path.join(args.out, "loss.csv"), "w") as fh:
         fh.write("iter,lr,loss\n")
         for iteration, lr, loss in history:
             fh.write(f"{iteration},{lr:.10g},{loss:.10g}\n")
-    log.info("wrote %s", os.path.join(cfg.out_dir, "final.ckpt"))
+    log.info("wrote %s", os.path.join(args.out, "final.ckpt"))
     return 0
 
 
@@ -243,14 +214,14 @@ def cmd_net_embed(args):
     if args.layer:
         vec = textnet.extract_features(checkpoint, image, args.layer)
     else:
-        vec = textnet.predict_topics(checkpoint, image, n_crops=args.crops)
+        vec = textnet.predict_topics(checkpoint, image)
     _emit(None, _format_vector(vec) + "\n")
     return 0
 
 
 def cmd_net_features(args):
     checkpoint = textnet.load_checkpoint(args.ckpt)
-    image_root = args.image_root or os.path.dirname(os.path.abspath(args.corpus))
+    image_root = _image_root(args)
     docs = corpus_mod.load_corpus(args.corpus)
     items = []
     for doc in sorted(docs, key=lambda d: d.doc_id):
@@ -274,7 +245,6 @@ def _required(value, flag, use):
 
 
 def cmd_index_build(args):
-    entries = []
     use = f"--modality {args.modality}"
     model = checkpoint = None
     if args.modality in ("text", "both"):
@@ -284,9 +254,10 @@ def cmd_index_build(args):
     if model is not None and checkpoint is not None:
         if checkpoint.lda_model_hash not in ("", model.content_hash()):
             raise DataError(f"checkpoint {args.ckpt} was trained against a different topic model than {args.lda}")
+    docs = sorted(corpus_mod.load_corpus(args.corpus), key=lambda d: d.doc_id)
+    entries = []
     if model is not None:
-        docs = corpus_mod.load_corpus(args.corpus)
-        for doc in sorted(docs, key=lambda d: d.doc_id):
+        for doc in docs:
             theta = lda_mod.doc_theta(model, doc, seed=args.infer_seed)
             if theta is None:
                 log.warning("doc %s: no in-vocabulary token, not indexed", doc.doc_id)
@@ -297,30 +268,15 @@ def cmd_index_build(args):
                 )
             )
     if checkpoint is not None:
-        image_root = args.image_root or os.path.dirname(os.path.abspath(args.corpus))
-        if args.images_dir:
-            rels = sorted(
-                os.path.join(args.images_dir, name)
-                for name in os.listdir(os.path.join(image_root, args.images_dir))
-                if name.lower().endswith((".ppm", ".png"))
-            )
-            jobs = [(rel, rel) for rel in rels]
-        else:
-            docs = corpus_mod.load_corpus(args.corpus)
-            jobs = [
-                (rel, doc.doc_id)
-                for doc in sorted(docs, key=lambda d: d.doc_id)
-                for rel in doc.image_paths
-            ]
-        for rel, payload in jobs:
-            embedding = retrieval.embed_image(
-                decode_image(os.path.join(image_root, rel)), checkpoint, n_crops=args.crops
-            )
-            entries.append(
-                retrieval.IndexEntry(
-                    item_id=rel, modality="image", embedding=embedding, payload_ref=payload
+        image_root = _image_root(args)
+        for doc in docs:
+            for rel in doc.image_paths:
+                embedding = retrieval.embed_image(decode_image(os.path.join(image_root, rel)), checkpoint)
+                entries.append(
+                    retrieval.IndexEntry(
+                        item_id=rel, modality="image", embedding=embedding, payload_ref=doc.doc_id
+                    )
                 )
-            )
     index = retrieval.build_index(entries, epsilon=args.epsilon)
     retrieval.save_index(index, args.out)
     log.info("indexed %d entries -> %s", len(index.ids), args.out)
@@ -337,7 +293,7 @@ def cmd_query(args):
         target = args.modality or "image"
     else:
         checkpoint = textnet.load_checkpoint(_required(args.ckpt, "--ckpt", "--image"))
-        embedding = retrieval.embed_image(decode_image(args.image), checkpoint, n_crops=args.crops)
+        embedding = retrieval.embed_image(decode_image(args.image), checkpoint)
         target = args.modality or "text"
     results = retrieval.query(
         index, embedding, target, top_n=args.top_n, symmetric=args.symmetric
@@ -413,10 +369,7 @@ def cmd_eval_sweep(args):
     if not 0 < args.val_fraction <= 0.5:  # NaN fails this too
         raise DataError(f"--val-fraction must be in (0, 0.5], got {args.val_fraction}")
     docs = corpus_mod.load_corpus(args.corpus)
-    stopwords = _stopwords_from(args)
-    vocab = corpus_mod.build_vocabulary(
-        docs, min_df=args.min_df, max_df_ratio=args.max_df_ratio, stopwords=stopwords
-    )
+    vocab = corpus_mod.build_vocabulary(docs, min_df=args.min_df, max_df_ratio=args.max_df_ratio)
     labels = {}
     for item_id, classes in evaluate_mod.load_labels(args.labels).items():
         if len(classes) != 1:
@@ -425,8 +378,8 @@ def cmd_eval_sweep(args):
 
     docs = sorted(docs, key=lambda d: d.doc_id)
     train_docs, val_docs = _stride_split(docs, args.val_fraction)
-    train_bows = _corpus_to_bows(train_docs, vocab, stopwords)
-    val_bows = _corpus_to_bows(val_docs, vocab, stopwords)
+    train_bows = _corpus_to_bows(train_docs, vocab)
+    val_bows = _corpus_to_bows(val_docs, vocab)
     for bow in val_bows:
         if bow.doc_id not in labels:
             raise DataError(f"validation doc {bow.doc_id!r} missing from labels")
@@ -449,7 +402,7 @@ def cmd_eval_sweep(args):
             return evaluate_mod.cluster_purity(assignments, [labels[b.doc_id] for b in val_bows])
 
     else:  # net: train a topic-regression net per k and score held-out image purity
-        image_root = args.image_root or os.path.dirname(os.path.abspath(args.corpus))
+        image_root = _image_root(args)
         sgd_cfg = nn.SgdConfig(base_lr=args.base_lr, batch_size=args.batch_size, max_iters=args.net_iters)
         aug_cfg = textnet.AugmentConfig(crop_size=args.crop_size, seed=hyper.seed)
 
@@ -509,7 +462,6 @@ def build_parser():
     p.add_argument("-o", "--out", required=True, help="output vocabulary JSON")
     p.add_argument("--min-df", type=int, default=20, help="minimum document frequency")
     p.add_argument("--max-df-ratio", type=float, default=0.5, help="maximum df as a fraction of docs")
-    p.add_argument("--stopwords", help="stopword file, one word per line")
     p.set_defaults(func=cmd_vocab_build)
 
     lda_cmds = sub.add_parser("lda", help="topic model commands").add_subparsers(
@@ -525,7 +477,6 @@ def build_parser():
     p.add_argument("--iters", type=int, default=200, help="Gibbs sweeps")
     p.add_argument("--infer-iters", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stopwords")
     p.set_defaults(func=cmd_lda_train)
 
     p = lda_cmds.add_parser("topics", help="print the top words of every topic")
@@ -566,7 +517,6 @@ def build_parser():
     p.add_argument("ckpt")
     p.add_argument("--image", required=True)
     p.add_argument("--layer", default=None, help="named layer for raw features (default: topic output)")
-    p.add_argument("--crops", type=int, default=10)
     p.set_defaults(func=cmd_net_embed)
 
     p = net.add_parser("features", help="extract layer features for every corpus image")
@@ -587,8 +537,6 @@ def build_parser():
     p.add_argument("--lda", default=None, help="LDA model (needed for text entries)")
     p.add_argument("--ckpt", default=None, help="net checkpoint (needed for image entries)")
     p.add_argument("--image-root", default=None)
-    p.add_argument("--images-dir", default=None, help="index images from this directory (relative to image root) instead of corpus images")
-    p.add_argument("--crops", type=int, default=10)
     p.add_argument("--epsilon", type=float, default=1e-10)
     p.add_argument("--infer-seed", type=int, default=0)
     p.set_defaults(func=cmd_index_build)
@@ -602,7 +550,6 @@ def build_parser():
     p.add_argument("--modality", choices=("text", "image"), default=None, help="target modality (default: the other one)")
     p.add_argument("--top-n", type=int, default=10)
     p.add_argument("--symmetric", action="store_true", help="use symmetric KL")
-    p.add_argument("--crops", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_query)
@@ -640,7 +587,6 @@ def build_parser():
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--infer-iters", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stopwords")
     p.add_argument("--image-root", default=None)
     p.add_argument("--net-iters", type=int, default=300)
     p.add_argument("--base-lr", type=float, default=0.01)

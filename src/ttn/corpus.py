@@ -16,10 +16,30 @@ from dataclasses import dataclass, field
 
 from .errors import CorruptFile, DuplicateId, EmptyVocabulary
 from .fileio import atomic_write, parse_json, read_text
-from .stopwords import DEFAULT_STOPWORDS
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 _VOWELS = frozenset("aeiouy")
+
+# A compact general-purpose English stopword list (~150 entries). It is fixed
+# rather than settable because no artifact records it: vocabulary building,
+# LDA training and every fold-in must normalize text the same way.
+DEFAULT_STOPWORDS = frozenset(
+    """
+    a about above after again against all also am an and any are as at
+    be because been before being below between both but by
+    came can cannot come could did do does doing down during
+    each even every few for from further
+    get go got had has have having he her here hers herself him himself his
+    how however i if in into is it its itself just like
+    made make many may me might more most much must my myself
+    never no nor not now of off on once one only or other our ours ourselves
+    out over own put said same say see seen shall she should since so some
+    still such take than that the their theirs them themselves then there
+    these they this those through to too under until up upon us used using
+    very was we well were what when where which while who whom why will with
+    would you your yours yourself yourselves
+    """.split()
+)
 
 
 def tokenize(text):
@@ -83,21 +103,19 @@ def _strip_suffixes(token):
     return word
 
 
-def normalize(tokens, stopwords=None):
+def normalize(tokens):
     """Remove stopwords, stem the remainder, preserve order.
 
     A token whose stem lands on a stopword (or shrinks below two letters) is
     dropped as well, so running the tokenize/normalize pipeline over its own
     output changes nothing.
     """
-    if stopwords is None:
-        stopwords = DEFAULT_STOPWORDS
     out = []
     for token in tokens:
-        if token in stopwords:
+        if token in DEFAULT_STOPWORDS:
             continue
         stemmed = stem(token)
-        if len(stemmed) < 2 or stemmed in stopwords:
+        if len(stemmed) < 2 or stemmed in DEFAULT_STOPWORDS:
             continue
         out.append(stemmed)
     return out
@@ -161,15 +179,33 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, obj):
+        """The vocabulary a JSON object holds. Each field must have its JSON
+        type, a bool counting as neither integer nor number; else CorruptFile."""
+        if not isinstance(obj, dict):
+            raise CorruptFile("invalid vocabulary file: not a JSON object")
+        words, doc_freq = obj.get("words"), obj.get("doc_freq")
+        if not (
+            isinstance(words, list)
+            and all(isinstance(w, str) for w in words)
+            and isinstance(doc_freq, list)
+            and all(type(f) is int for f in doc_freq)
+            and type(obj.get("min_df")) is int
+            and type(obj.get("n_docs")) is int
+            and type(obj.get("max_df_ratio")) in (int, float)
+        ):
+            raise CorruptFile(
+                "invalid vocabulary file: words must be a list of strings, doc_freq a list of "
+                "integers, min_df and n_docs integers and max_df_ratio a number"
+            )
         try:
             return cls(
-                words=tuple(obj["words"]),
-                doc_freq=tuple(obj["doc_freq"]),
+                words=tuple(words),
+                doc_freq=tuple(doc_freq),
                 min_df=obj["min_df"],
                 max_df_ratio=obj["max_df_ratio"],
                 n_docs=obj["n_docs"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CorruptFile(f"invalid vocabulary file: {exc}")
 
     def save(self, path):
@@ -197,7 +233,7 @@ class BowDocument:
         return sum(self.counts.values())
 
 
-def build_vocabulary(docs, min_df=20, max_df_ratio=0.5, stopwords=None):
+def build_vocabulary(docs, min_df=20, max_df_ratio=0.5):
     """Build a document-frequency-filtered vocabulary over normalized tokens.
 
     A word is retained iff min_df <= df(word) <= floor(max_df_ratio * n_docs),
@@ -220,7 +256,7 @@ def build_vocabulary(docs, min_df=20, max_df_ratio=0.5, stopwords=None):
 
     df = Counter()
     for doc in docs:
-        df.update(set(normalize(tokenize(doc.text), stopwords)))
+        df.update(set(normalize(tokenize(doc.text))))
 
     n_docs = len(docs)
     # Integer df makes "df <= ratio * n" equivalent to "df <= floor(ratio * n)";
@@ -241,21 +277,21 @@ def build_vocabulary(docs, min_df=20, max_df_ratio=0.5, stopwords=None):
     )
 
 
-def text_to_counts(text, word_index, stopwords=None):
+def text_to_counts(text, word_index):
     """Normalized in-vocabulary token counts for a text, given word -> id."""
     counts = Counter()
-    for token in normalize(tokenize(text), stopwords):
+    for token in normalize(tokenize(text)):
         word_id = word_index.get(token)
         if word_id is not None:
             counts[word_id] += 1
     return dict(counts)
 
 
-def doc_to_bow(doc, vocab, stopwords=None):
+def doc_to_bow(doc, vocab):
     """Bag-of-words for one document. Out-of-vocabulary tokens are dropped;
     a document with no in-vocabulary tokens yields empty counts, which later
     stages treat as an error or skip explicitly."""
-    return BowDocument(doc_id=doc.doc_id, counts=text_to_counts(doc.text, vocab.index, stopwords))
+    return BowDocument(doc_id=doc.doc_id, counts=text_to_counts(doc.text, vocab.index))
 
 
 def load_corpus(path):
@@ -268,11 +304,12 @@ def load_corpus(path):
             continue
         obj = parse_json(line, f"{path}:{lineno}")
         try:
-            doc = RawDocument(
-                doc_id=str(obj["id"]),
-                text=str(obj["text"]),
-                image_paths=tuple(str(p) for p in obj.get("images", [])),
-            )
+            doc_id, text, images = obj["id"], obj["text"], obj.get("images", [])
+            if not isinstance(doc_id, str) or not isinstance(text, str):
+                raise TypeError("id and text must be strings")
+            if not isinstance(images, list) or not all(isinstance(p, str) for p in images):
+                raise TypeError("images must be a list of strings")
+            doc = RawDocument(doc_id=doc_id, text=text, image_paths=tuple(images))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFile(f"{path}:{lineno}: invalid document: {exc}")
         if doc.doc_id in seen:

@@ -145,8 +145,11 @@ def train(pairs, spec, sgd_cfg, aug_cfg, seed, *, start=None, checkpoint_every=N
     ckpt_<iteration>.ckpt into checkpoint_dir. Returns (final checkpoint,
     history) where history rows are (iteration, learning rate, loss). With
     max_iters == 0 the returned parameters equal the seeded initialization
-    bit for bit. A `start` past sgd_cfg.max_iters raises ValueError.
+    bit for bit. A `start` past sgd_cfg.max_iters or a negative
+    checkpoint_every raises ValueError.
     """
+    if checkpoint_every is not None and checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     if start is None:
         start = Checkpoint(spec=spec, params=nn.init_params(spec, seed), iteration=0, sgd=sgd_cfg, seed=seed)
     elif start.spec != spec:

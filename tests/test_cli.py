@@ -483,14 +483,35 @@ def test_effective_config_records_flags(workspace, tmp_path):
         ["lda", "train", "c.jsonl", "v.json", "-o", "m.lda", "--average"],
         ["lda", "train", "c.jsonl", "v.json", "-o", "m.lda", "--burn-in", "5"],
         ["eval", "sweep", "c.jsonl", "--ks", "2", "--labels", "l.csv", "--burn-in", "5"],
+        ["vocab", "build", "c.jsonl", "-o", "v.json", "--stopwords", "sw.txt"],
+        ["lda", "train", "c.jsonl", "v.json", "-o", "m.lda", "--stopwords", "sw.txt"],
+        ["eval", "sweep", "c.jsonl", "--ks", "2", "--labels", "l.csv", "--stopwords", "sw.txt"],
+        ["net", "embed", "n.ckpt", "--image", "a.ppm", "--crops", "4"],
+        ["index", "build", "c.jsonl", "-o", "i.bin", "--crops", "4"],
+        ["query", "i.bin", "--image", "a.ppm", "--crops", "4"],
+        ["index", "build", "c.jsonl", "-o", "i.bin", "--images-dir", "heldout"],
     ],
-    ids=["net-train-config", "lda-train-average", "lda-train-burn-in", "eval-sweep-burn-in"],
+    ids=[
+        "net-train-config", "lda-train-average", "lda-train-burn-in", "eval-sweep-burn-in",
+        "vocab-build-stopwords", "lda-train-stopwords", "eval-sweep-stopwords",
+        "net-embed-crops", "index-build-crops", "query-crops", "index-build-images-dir",
+    ],
 )
 def test_removed_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_net_train_rejects_negative_checkpoint_every(workspace, tmp_path, capsys):
+    out = tmp_path / "net"
+    assert main([
+        "net", "train", workspace["corpus"], workspace["model"], "-o", str(out),
+        "--iters", "12", "--batch-size", "4", "--checkpoint-every", "-5",
+    ]) == 3
+    assert "checkpoint_every must be >= 0" in capsys.readouterr().err
+    assert not list(out.glob("*.ckpt"))
 
 
 def test_val_labels_need_val_features(workspace, capsys):

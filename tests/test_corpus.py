@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ttn import corpus as C
 from ttn import synth
 from ttn.errors import CorruptFile, DuplicateId, EmptyVocabulary
-from ttn.stopwords import DEFAULT_STOPWORDS
 
 
 # ----------------------------------------------------------------- tokenize
@@ -85,7 +84,7 @@ def test_normalize_drops_stopwords_and_short_stems():
 
 def test_normalize_drops_stems_that_become_stopwords():
     # A token may stem INTO a stopword; it must still be dropped.
-    assert "the" in DEFAULT_STOPWORDS
+    assert "the" in C.DEFAULT_STOPWORDS
     assert C.normalize(["thes"]) == []
 
 
@@ -218,9 +217,19 @@ def test_corpus_roundtrip(tmp_path):
 
 def test_corpus_requires_fields(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"id": "a"}\n', encoding="utf-8")
-    with pytest.raises(CorruptFile):
-        C.load_corpus(str(path))
+    for line in [
+        '{"id": "a"}',
+        '{"id": null, "text": null, "images": "a.ppm"}',
+        '{"id": 7, "text": "cat"}',
+        '{"id": "a", "text": ["cat"]}',
+        '{"id": "a", "text": "cat", "images": "a.ppm"}',
+        '{"id": "a", "text": "cat", "images": [1]}',
+        '{"id": "a", "text": "cat", "images": null}',
+        '["a", "cat"]',
+    ]:
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(CorruptFile):
+            C.load_corpus(str(path))
 
 
 def test_corpus_rejects_duplicate_ids(tmp_path):
@@ -248,9 +257,29 @@ def test_vocabulary_roundtrip(tmp_path):
 
 def test_vocabulary_load_rejects_garbage(tmp_path):
     path = tmp_path / "vocab.json"
-    path.write_text("[1, 2, 3]", encoding="utf-8")
-    with pytest.raises(CorruptFile):
-        C.Vocabulary.load(str(path))
+    good = {"words": ["ab", "cd"], "doc_freq": [2, 3], "min_df": 1, "max_df_ratio": 0.5, "n_docs": 4}
+    path.write_text(json.dumps(good), encoding="utf-8")
+    assert C.Vocabulary.load(str(path)).words == ("ab", "cd")
+    bad = [
+        [1, 2, 3],
+        {**good, "words": "ab", "doc_freq": [1, 1], "min_df": "x", "n_docs": True},
+        {**good, "words": "ab", "doc_freq": [1, 1]},
+        {**good, "words": ["ab", 3]},
+        {**good, "doc_freq": [2, 3.0]},
+        {**good, "doc_freq": [2, True]},
+        {**good, "doc_freq": "23"},
+        {**good, "min_df": "1"},
+        {**good, "min_df": 1.0},
+        {**good, "n_docs": True},
+        {**good, "max_df_ratio": "0.5"},
+        {**good, "max_df_ratio": False},
+        {**good, "doc_freq": [2]},
+        {k: v for k, v in good.items() if k != "n_docs"},
+    ]
+    for obj in bad:
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(CorruptFile):
+            C.Vocabulary.load(str(path))
 
 
 @settings(deadline=None)
