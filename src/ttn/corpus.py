@@ -157,6 +157,12 @@ class Vocabulary:
             raise ValueError("vocabulary words must be unique")
         if len(self.words) != len(self.doc_freq):
             raise ValueError("words and doc_freq lengths differ")
+        if any(f < 0 for f in self.doc_freq):
+            raise ValueError("doc_freq values must be >= 0")
+        if self.min_df < 1 or self.n_docs < 1:
+            raise ValueError(f"min_df and n_docs must be >= 1, got {self.min_df} and {self.n_docs}")
+        if not 0.0 < self.max_df_ratio <= 1.0:  # NaN fails this too
+            raise ValueError(f"max_df_ratio must be in (0, 1], got {self.max_df_ratio}")
         object.__setattr__(self, "index", {w: i for i, w in enumerate(self.words)})
 
     def __len__(self):
@@ -180,7 +186,9 @@ class Vocabulary:
     @classmethod
     def from_json(cls, obj):
         """The vocabulary a JSON object holds. Each field must have its JSON
-        type, a bool counting as neither integer nor number; else CorruptFile."""
+        type, a bool counting as neither integer nor number, and a value in
+        its domain (doc_freq >= 0, min_df and n_docs >= 1, max_df_ratio in
+        (0, 1]); else CorruptFile."""
         if not isinstance(obj, dict):
             raise CorruptFile("invalid vocabulary file: not a JSON object")
         words, doc_freq = obj.get("words"), obj.get("doc_freq")

@@ -181,9 +181,7 @@ def string_list(header, key):
 
 
 # ---------------------------------------------------------------------------
-# Images. PPM (binary P6, maxval 255) is the native format; PNG decoding is a
-# narrow adapter around Pillow and only needed when a corpus references .png
-# files.
+# Images. PPM (binary P6, maxval 255) is the one format.
 
 
 def _read_ppm_token(fh):
@@ -237,21 +235,8 @@ def write_ppm(path, image):
         fh.write(pixels.transpose(1, 2, 0).tobytes())
 
 
-def _read_png(path):
-    try:
-        from PIL import Image
-    except ImportError:
-        raise DataError("PNG decoding requires the optional Pillow dependency")
-    with Image.open(path) as img:
-        rgb = np.asarray(img.convert("RGB"), dtype=np.float64)
-    return rgb.transpose(2, 0, 1) / 255.0
-
-
 def decode_image(path):
-    """Decode an image file by extension: .ppm natively, .png via Pillow."""
-    lower = os.fspath(path).lower()
-    if lower.endswith(".ppm"):
+    """Decode an image file by extension; .ppm is the one format."""
+    if os.fspath(path).lower().endswith(".ppm"):
         return read_ppm(path)
-    if lower.endswith(".png"):
-        return _read_png(path)
     raise DataError(f"unsupported image format: {path}")

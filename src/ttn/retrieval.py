@@ -4,6 +4,12 @@ Text and images both embed to topic distributions, so one KL-divergence scan
 ranks either modality against a query from the other. Divergences use
 symmetric additive smoothing, p~ = (p + eps) / (1 + k * eps), to keep zero
 coordinates finite without changing the ranking of well-separated entries.
+
+A query runs in two passes. A matrix-vector product over a cached table of
+log q~ (8 * N * (k + 1) bytes per index, built by the first query of each
+modality) gives every row an approximate divergence; the exact per-row scan
+then scores only the rows that approximation cannot rule out, so results are
+bit-identical to kl_divergence and symmetric_kl.
 """
 
 from __future__ import annotations
@@ -97,6 +103,19 @@ class RetrievalIndex:
         built on first access; queries, save and load never read them."""
         return tuple(map(IndexEntry, self.ids, self.modalities, self.matrix, self.payload_refs))
 
+    @cached_property
+    def _tables(self):
+        """modality -> _LogTable, each built by that modality's first query.
+        matrix is read-only, so a table never goes stale."""
+        return {}
+
+    def log_table(self, modality):
+        """The prefilter's table of the modality's rows, built on first use."""
+        table = self._tables.get(modality)
+        if table is None:
+            table = self._tables[modality] = _log_table(self.matrix, self.rows[modality][0], self.epsilon)
+        return table
+
 
 def build_index(entries, epsilon=1e-10):
     """Validate entries (unique ids, one shared 1-D shape, finite non-negative
@@ -134,6 +153,7 @@ def _index(ids, modalities, payload_refs, epsilon, matrix):
     for modality in MODALITIES:
         numbers = [n for n, m in enumerate(modalities) if m == modality]
         rows[modality] = (np.array(numbers, dtype=np.intp), [ids[n] for n in numbers])
+    matrix.flags.writeable = False  # the cached log tables are computed from it
     return RetrievalIndex(
         ids=ids, modalities=modalities, payload_refs=payload_refs, epsilon=epsilon, matrix=matrix, rows=rows
     )
@@ -174,11 +194,105 @@ def _divergences(p, matrix, numbers, epsilon, symmetric):
     return d
 
 
+@dataclass(frozen=True)
+class _LogTable:
+    """What the prefilter reads of one modality's rows q~ (smoothed)."""
+
+    logs: np.ndarray  # (rows, k) log q~
+    h: np.ndarray  # (rows,) sum of q~ log q~ per row
+    max_abs_log: float  # largest |log q~|, inf when a zero survives smoothing
+    max_row_sum: float  # largest sum of q~ over a row
+
+
+def _log_table(matrix, numbers, epsilon):
+    """The _LogTable of matrix[numbers], built in place block by block so no
+    transient outgrows one block. q~ is smoothed as in _divergences."""
+    k = matrix.shape[1]
+    logs = np.empty((len(numbers), k))
+    h = np.empty(len(numbers))
+    scratch = np.empty((min(_BLOCK_ROWS, len(numbers)), k))
+    max_abs_log = max_row_sum = 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, len(numbers), _BLOCK_ROWS):
+            block = numbers[start:start + _BLOCK_ROWS]
+            # the indices are valid; mode "raise" would copy through a buffer
+            qs = np.take(matrix, block, axis=0, out=scratch[:len(block)], mode="clip")
+            qs += epsilon
+            qs /= 1.0 + k * epsilon
+            max_row_sum = max(max_row_sum, float(qs.sum(axis=1).max()))
+            log_qs = np.log(qs, out=logs[start:start + len(block)])
+            max_abs_log = max(max_abs_log, -float(log_qs.min()), float(log_qs.max()))
+            h[start:start + len(block)] = np.einsum("ij,ij->i", qs, log_qs)
+    return _LogTable(logs, h, max_abs_log, max_row_sum)
+
+
+# delta = _MARGIN * (k + 6) * scale * (1 + T) in _candidates: 2**20 times the
+# rounding bound derived there.
+_MARGIN = 2.0 ** -32
+
+
+def _candidates(index, p, modality, n, symmetric):
+    """Positions in index.rows[modality] of every row whose exact divergence
+    from p can be among the n smallest, or None when only the full scan is
+    safe (a non-finite approximation or margin).
+
+    The approximation is a_i = max(0, p~.log p~ - log Q~_i.p~), plus, when
+    symmetric, max(0, h_i - Q~_i.log p~) with h_i = sum q~ log q~; Q~_i.log p~
+    is the affine (Q_i.log p~ + eps * sum log p~) / (1 + k * eps), so the raw
+    matrix serves and no second table is needed.
+
+    Rounding bound. Take u = 2**-53, T = max|log p~| + max|log q~| (so
+    |log(p~/q~)| <= T) and S = sum p~. The exact path's terms
+    p~ * log(p~ / q~) carry the quotient's u (an absolute u after the log),
+    the log's 4 ulp (numpy's float64 log is within 4) and the product's u,
+    and its k-term row sum adds k * u * sum|term|: at most
+    S * u * (2 + (k + 6) * T) from the real divergence. The approximation
+    rounds log q~ (4 ulp), sums k products in the matrix-vector product in
+    any order and with or without FMA (k * u * S * T), forms p~.log p~ the
+    same way and subtracts once: at most S * u * (k + 6) * T. So the two
+    differ by at most 2 * (k + 6) * u * S * (1 + T); the reverse terms obey
+    the same bound with S replaced by the largest row sum of Q~, and the
+    clamp at 0 only brings values closer. delta is 2**20 times that bound.
+    Every row with e_i <= e_(n) then has a_i <= e_i + delta <= a_(n) + 2 * delta,
+    since the n rows with the smallest a all have e <= a_(n) + delta.
+    """
+    table = index.log_table(modality)
+    epsilon, k = index.epsilon, p.size
+    ps = _smooth(p, epsilon)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ps = np.log(ps)
+        approx = table.logs @ ps
+        np.subtract(ps @ log_ps, approx, out=approx)
+        np.maximum(approx, 0.0, out=approx)  # maximum keeps a NaN, for the check below
+        scale = ps.sum()
+        if symmetric:
+            numbers = index.rows[modality][0]
+            span = index.matrix[numbers[0]:numbers[-1] + 1]  # the modality's rows and any between
+            cross = (span @ log_ps)[numbers - numbers[0]]
+            cross += epsilon * log_ps.sum()
+            cross /= 1.0 + k * epsilon
+            np.subtract(table.h, cross, out=cross)
+            approx += np.maximum(cross, 0.0, out=cross)
+            scale += table.max_row_sum
+        delta = _MARGIN * (k + 6) * scale * (1.0 + float(np.abs(log_ps).max()) + table.max_abs_log)
+        if not (approx.max() < math.inf and delta < math.inf):
+            return None
+        return np.flatnonzero(approx <= np.partition(approx, n - 1)[n - 1] + 2.0 * delta)
+
+
 def query(index, query_embedding, target_modality, top_n=10, symmetric=False):
     """Rank entries of target_modality by divergence from the query, ascending.
 
     Returns [(item_id, divergence)], ties broken by item_id so insertion
     order never leaks into results. top_n is clamped to the available count.
+
+    Two passes: _candidates picks the rows that can make the top n from the
+    modality's cached log table (built on its first query), and _divergences
+    scores only those, exactly. Each row is summed on its own, so every
+    divergence has the bits kl_divergence (or symmetric_kl) gives it. When
+    top_n covers every row, or the approximation or its margin is not finite
+    (epsilon 0 with zero coordinates, values large enough to overflow), every
+    row is scored.
     """
     if target_modality not in MODALITIES:
         raise ValueError(f"target_modality must be one of {MODALITIES}")
@@ -194,12 +308,15 @@ def query(index, query_embedding, target_modality, top_n=10, symmetric=False):
         )
     if not finite_non_negative(p):
         raise DataError("query embedding must be finite and non-negative")
-    d = _divergences(p, index.matrix, numbers, index.epsilon, symmetric)
     n = min(top_n, len(ids))
+    picked = _candidates(index, p, target_modality, n, symmetric) if n < len(ids) else None
+    if picked is None:
+        picked = np.arange(len(ids))
+    d = _divergences(p, index.matrix, numbers[picked], index.epsilon, symmetric)
     # every row at or below the n-th smallest divergence, so ties at the edge
     # are settled by item_id below
     keep = np.flatnonzero(d <= np.partition(d, n - 1)[n - 1])
-    scored = sorted((float(d[i]), ids[i]) for i in keep)
+    scored = sorted((float(d[i]), ids[picked[i]]) for i in keep)
     return [(item_id, dv) for dv, item_id in scored[:n]]
 
 

@@ -424,6 +424,14 @@ def test_unparsable_json_inputs_exit_3(workspace, tmp_path, capsys, command, tex
     assert "CorruptFile" in capsys.readouterr().err
 
 
+def test_out_of_domain_vocabulary_exits_3(workspace, tmp_path, capsys):
+    path = tmp_path / "vocab.json"
+    path.write_text('{"words": ["ab"], "doc_freq": [-3], "min_df": -1, "max_df_ratio": NaN, "n_docs": 0}',
+                    encoding="utf-8")
+    assert main(["lda", "train", workspace["corpus"], str(path), "-o", str(tmp_path / "m.lda"), "-k", "2"]) == 3
+    assert "CorruptFile: invalid vocabulary file" in capsys.readouterr().err
+
+
 def test_malformed_containers_exit_3(workspace, tmp_path, capsys):
     def container(magic, header, declared_len=None):
         n = len(header) if declared_len is None else declared_len
@@ -563,6 +571,17 @@ def test_time_net_step_script_runs():
         assert re.search(rf"^{name} +\d+\.\d{{3}} +\d+\.\d{{3}}$", proc.stdout, re.MULTILINE), name
     for metric in ("step_ms", "minor_faults_per_step", "traced_peak_mib"):
         assert re.search(rf"^{metric} \d+\.\d+$", proc.stdout, re.MULTILINE), metric
+
+
+def test_time_query_script_runs():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "time_query.py")
+    proc = subprocess.run([sys.executable, script, "--entries", "200", "--queries", "2"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^table_build_ms \d+\.\d{3}$", proc.stdout, re.MULTILINE)
+    for kind in ("word", "doc", "image"):
+        for mode in ("forward", "symmetric"):
+            assert re.search(rf"^{kind} +{mode}( +\d+\.\d{{3}}){{4}}$", proc.stdout, re.MULTILINE), (kind, mode)
 
 
 def test_readme_walkthrough_commands_parse():

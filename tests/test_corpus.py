@@ -282,6 +282,27 @@ def test_vocabulary_load_rejects_garbage(tmp_path):
             C.Vocabulary.load(str(path))
 
 
+def test_vocabulary_load_rejects_out_of_domain_values(tmp_path):
+    path = tmp_path / "vocab.json"
+    good = {"words": ["ab", "cd"], "doc_freq": [0, 3], "min_df": 1, "max_df_ratio": 1, "n_docs": 4}
+    path.write_text(json.dumps(good), encoding="utf-8")
+    assert C.Vocabulary.load(str(path)).doc_freq == (0, 3)
+    bad = [
+        {"words": ["ab"], "doc_freq": [-3], "min_df": -1, "max_df_ratio": math.nan, "n_docs": 0},
+        {**good, "doc_freq": [2, -1]},
+        {**good, "min_df": 0},
+        {**good, "n_docs": 0},
+        {**good, "max_df_ratio": math.nan},
+        {**good, "max_df_ratio": 0},
+        {**good, "max_df_ratio": -0.5},
+        {**good, "max_df_ratio": 1.5},
+    ]
+    for obj in bad:
+        path.write_text(json.dumps(obj), encoding="utf-8")  # NaN is written as the NaN that json.loads accepts
+        with pytest.raises(CorruptFile, match="invalid vocabulary file"):
+            C.Vocabulary.load(str(path))
+
+
 @settings(deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_pipeline_deterministic(seed):

@@ -204,3 +204,11 @@ def test_decode_image_dispatches_on_extension(tmp_path):
     assert np.array_equal(F.decode_image(path), F.read_ppm(path))
     with pytest.raises(DataError):
         F.decode_image(str(tmp_path / "img.tiff"))
+
+
+@pytest.mark.parametrize("name", ["img.png", "IMG.PNG"])
+def test_decode_image_refuses_png(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + b"\x00" * 16)
+    with pytest.raises(DataError, match="unsupported image format"):
+        F.decode_image(str(path))

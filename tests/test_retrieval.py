@@ -259,6 +259,88 @@ def test_query_full_ranking_bit_identical_across_blocks(symmetric):
     assert got == _reference_query(entries, q, "image", 5000, symmetric, index.epsilon)
 
 
+# ------------------------------------------------------------- prefilter
+# query scores exactly only the rows a cached-table approximation cannot rule
+# out; each case below must still equal the per-entry reference bit for bit.
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_query_near_ties_equal_reference(symmetric):
+    # Permutations of one row are equally far from a uniform query, so their
+    # exact divergences differ only by roundoff: a prefilter without a
+    # rounding margin drops some of the true top 5.
+    rng = np.random.default_rng(21)
+    row = rng.dirichlet(np.full(40, 0.3))
+    entries = [
+        retrieval.IndexEntry(f"p{i:03d}", "image", rng.permutation(row)) for i in range(300)
+    ]
+    index = retrieval.build_index(entries)
+    q = np.full(40, 1 / 40)
+    assert retrieval._candidates(index, q, "image", 5, symmetric) is not None
+    got = retrieval.query(index, q, "image", top_n=5, symmetric=symmetric)
+    assert got == _reference_query(entries, q, "image", 5, symmetric, index.epsilon)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_query_small_top_n_over_many_rows(symmetric):
+    rng = np.random.default_rng(12)
+    rows = rng.dirichlet(np.full(40, 0.1), size=3000)
+    entries = [
+        retrieval.IndexEntry(f"e{(i * 7919) % 3000:04d}", "image" if i % 6 else "text", row)
+        for i, row in enumerate(rows)
+    ]
+    index = retrieval.build_index(entries)
+    for concentration in (0.1, 1.0, 10.0):
+        q = rng.dirichlet(np.full(40, concentration))
+        for target in retrieval.MODALITIES:
+            picked = retrieval._candidates(index, q, target, 5, symmetric)
+            assert picked is not None and len(picked) < 100
+            got = retrieval.query(index, q, target, top_n=5, symmetric=symmetric)
+            assert got == _reference_query(entries, q, target, 5, symmetric, index.epsilon)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_query_zero_epsilon_with_zeros_scans_every_row(symmetric):
+    rng = np.random.default_rng(13)
+    rows = rng.dirichlet(np.full(8, 0.5), size=60)
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    entries = [retrieval.IndexEntry(f"z{i:02d}", "image", row) for i, row in enumerate(rows)]
+    index = retrieval.build_index(entries, epsilon=0.0)
+    for q in (rows[3], np.full(8, 1 / 8)):
+        assert retrieval._candidates(index, q, "image", 4, symmetric) is None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = _reference_query(entries, q, "image", 4, symmetric, 0.0)
+        assert retrieval.query(index, q, "image", top_n=4, symmetric=symmetric) == want
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("scale", [1e300, 1e307])
+def test_query_huge_values_equal_reference(scale, symmetric):
+    # At 1e307 sums of 40 coordinates overflow, so the full scan runs.
+    rng = np.random.default_rng(14)
+    rows = (0.5 + 0.5 * rng.random((50, 40))) * scale
+    entries = [retrieval.IndexEntry(f"h{i:02d}", "text", row) for i, row in enumerate(rows)]
+    index = retrieval.build_index(entries)
+    q = (0.5 + 0.5 * rng.random(40)) * scale
+    if scale > 1e306:
+        assert retrieval._candidates(index, q, "text", 3, symmetric) is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_query(entries, q, "text", 3, symmetric, index.epsilon)
+        assert retrieval.query(index, q, "text", top_n=3, symmetric=symmetric) == want
+
+
+def test_log_tables_are_lazy_and_matrix_read_only(tmp_path):
+    index = retrieval.build_index(_entries())
+    path = str(tmp_path / "index.bin")
+    retrieval.save_index(index, path)
+    loaded = retrieval.load_index(path)
+    for got in (index, loaded):
+        assert "_tables" not in vars(got)
+        with pytest.raises(ValueError, match="read-only"):
+            got.matrix[0, 0] = 0.5
+        retrieval.query(got, np.array([0.5, 0.3, 0.2]), "image", top_n=1)
+        assert set(got._tables) == {"image"}
+
+
 def test_build_index_rejects_duplicates_and_mixed_dims():
     with pytest.raises(DuplicateId):
         retrieval.build_index(
