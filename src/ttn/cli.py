@@ -139,7 +139,7 @@ def cmd_lda_topics(args):
 
 def cmd_lda_infer(args):
     model = lda_mod.load_model(args.model)
-    theta = retrieval.embed_text(args.text, model.word_index, model, seed=args.seed)
+    theta = retrieval.embed_text(args.text, model.word_index, model)
     _emit(None, _format_vector(theta) + "\n")
     return 0
 
@@ -187,7 +187,7 @@ def cmd_net_train(args):
         json.dump(effective, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
-    pairs = textnet.make_pairs(docs, model, image_root, infer_missing=args.infer_missing, infer_seed=args.seed)
+    pairs = textnet.make_pairs(docs, model, image_root, infer_missing=args.infer_missing)
     log.info("training on %d pairs for %d iterations", len(pairs), sgd_cfg.max_iters)
     checkpoint, history = textnet.train(
         pairs,
@@ -258,7 +258,7 @@ def cmd_index_build(args):
     entries = []
     if model is not None:
         for doc in docs:
-            theta = lda_mod.doc_theta(model, doc, seed=args.infer_seed)
+            theta = lda_mod.doc_theta(model, doc)
             if theta is None:
                 log.warning("doc %s: no in-vocabulary token, not indexed", doc.doc_id)
                 continue
@@ -289,7 +289,7 @@ def cmd_query(args):
         raise DataError("provide exactly one of --text or --image")
     if args.text is not None:
         model = lda_mod.load_model(_required(args.lda, "--lda", "--text"))
-        embedding = retrieval.embed_text(args.text, model.word_index, model, seed=args.seed)
+        embedding = retrieval.embed_text(args.text, model.word_index, model)
         target = args.modality or "image"
     else:
         checkpoint = textnet.load_checkpoint(_required(args.ckpt, "--ckpt", "--image"))
@@ -396,9 +396,7 @@ def cmd_eval_sweep(args):
     if args.closure == "purity":
 
         def closure(k, model):
-            assignments = [
-                int(np.argmax(lda_mod.infer(bow, model, seed=hyper.seed))) for bow in val_bows
-            ]
+            assignments = [int(np.argmax(lda_mod.infer(bow, model))) for bow in val_bows]
             return evaluate_mod.cluster_purity(assignments, [labels[b.doc_id] for b in val_bows])
 
     else:  # net: train a topic-regression net per k and score held-out image purity
@@ -488,7 +486,6 @@ def build_parser():
     p = lda_cmds.add_parser("infer", help="print the topic distribution of a text snippet")
     p.add_argument("model")
     p.add_argument("--text", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_lda_infer)
 
     net = sub.add_parser("net", help="image network commands").add_subparsers(
@@ -538,7 +535,6 @@ def build_parser():
     p.add_argument("--ckpt", default=None, help="net checkpoint (needed for image entries)")
     p.add_argument("--image-root", default=None)
     p.add_argument("--epsilon", type=float, default=1e-10)
-    p.add_argument("--infer-seed", type=int, default=0)
     p.set_defaults(func=cmd_index_build)
 
     p = sub.add_parser("query", help="rank index entries against a text or image query")
@@ -550,7 +546,6 @@ def build_parser():
     p.add_argument("--modality", choices=("text", "image"), default=None, help="target modality (default: the other one)")
     p.add_argument("--top-n", type=int, default=10)
     p.add_argument("--symmetric", action="store_true", help="use symmetric KL")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_query)
 

@@ -10,6 +10,10 @@ Documents are processed in sorted doc_id order and all randomness comes from
 one seeded PCG64 generator (numpy's default_rng), so a fixed seed gives a
 bit-reproducible model. Point estimates of phi and theta are taken from the
 final sample of the chain (Griffiths & Steyvers, PNAS 2004).
+
+Fold-in (the topics of an unseen document, phi frozen) draws nothing: it
+iterates the expected version of the same conditional, (n_dk + alpha) *
+phi_kw, to a deterministic fixed point (CVB0; see fold_in).
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,7 +39,9 @@ class LdaHyperparams:
     """Sampler configuration.
 
     alpha defaults to 50 / k and beta_prior to 0.01, the usual heuristic
-    priors. infer_iters controls fold-in inference for unseen documents.
+    priors. infer_iters caps the fixed-point iterations of fold-in
+    inference for unseen documents (fold_in), which stops earlier at an
+    exact fixed point.
     """
 
     k: int = 40
@@ -311,76 +316,60 @@ def train(corpus, hyper, words):
     )
 
 
-def _phi_columns(phi, word_ids):
-    """Per word: phi's column as a list and its running sums over topics."""
-    word_ids = sorted(word_ids)
-    cols = phi[:, word_ids]
-    return dict(zip(word_ids, zip(cols.T.tolist(), np.cumsum(cols, axis=0).T.tolist())))
+def fold_in(lik, n, alpha, max_iters):
+    """Topic responsibilities of one document's distinct words, phi frozen.
 
+    Zero-order collapsed variational Bayes (CVB0; Asuncion, Welling, Smyth &
+    Teh, UAI 2009): the Gibbs conditional (n_dk + alpha) * phi_kw taken in
+    expectation. lik is (W, k), row w holding phi[:, w] for the document's
+    w-th distinct word, and n is (W, 1), that word's count. Starting from
+    gamma_w proportional to lik_w, every word is updated at once,
 
-def infer_sweep(tokens, zs, nd, cols, alpha, uniforms):
-    """One fold-in sweep over a document's tokens with phi frozen.
+        gamma_wk proportional to (max(N_k - gamma_wk, 0) + alpha) * lik_wk,
+        N_k = sum_w n_w gamma_wk,
 
-    nd maps each topic in use to its (positive) count in the document, cols
-    comes from _phi_columns, and uniforms holds one U[0,1) draw per token.
-    The conditional (n_dk + alpha) * phi_kw is drawn exactly from two buckets:
-    the doc bucket sum_{k: n_dk > 0} n_dk phi_kw over the document's topics,
-    and the smoothing bucket alpha * sum_k phi_kw, drawn by bisecting the
-    word's running sums.
+    for at most max_iters iterations, stopping early once an iteration
+    leaves gamma bit-for-bit unchanged. Only elementwise operations and
+    reductions run (no BLAS call), so the bits do not depend on the BLAS
+    thread count. Returns gamma, (W, k) with rows on the simplex.
     """
-    for i, w in enumerate(tokens):
-        old = zs[i]
-        c = nd[old] - 1
-        if c:
-            nd[old] = c
-        else:
-            del nd[old]
-        col, cum = cols[w]
-        d_sum = 0.0
-        for t, c in nd.items():
-            d_sum += c * col[t]
-        r = uniforms[i] * (d_sum + alpha * cum[-1])
-        if r < d_sum:
-            acc = 0.0
-            for new, c in nd.items():
-                acc += c * col[new]
-                if r < acc:
-                    break
-        else:
-            new = bisect_right(cum, (r - d_sum) / alpha)
-            if new == len(cum):  # roundoff fall-through: the last topic with weight
-                new = bisect_left(cum, cum[-1])
-        zs[i] = new
-        nd[new] = nd.get(new, 0) + 1
+    # Each row is scaled to a maximum of 1, so an updated row sums to at
+    # least alpha. A word that no topic emits (an all-zero column of a
+    # loaded phi) gets a flat likelihood: it follows the other words.
+    top = lik.max(axis=1, keepdims=True)
+    lik = np.divide(lik, top, out=np.ones_like(lik), where=top > 0)
+    gamma = lik / lik.sum(axis=1, keepdims=True)
+    for _ in range(max_iters):
+        new = (gamma * n).sum(axis=0) - gamma
+        np.maximum(new, 0.0, out=new)
+        new += alpha
+        new *= lik
+        new /= new.sum(axis=1, keepdims=True)
+        if np.array_equal(new, gamma):
+            break
+        gamma = new
+    return gamma
 
 
 def infer(bow, model, seed=0):
-    """Fold-in inference: Gibbs over one document's assignments, phi fixed.
+    """Fold-in inference: the topic distribution of an unseen document.
 
-    Returns the document's smoothed topic distribution (sums to 1).
+    Runs fold_in for at most hyper.infer_iters iterations and returns
+    (N + alpha) / (n + k alpha), N_k = sum_w n_w gamma_wk, the smoothed
+    theta of the Gibbs point estimate with expected counts in place of
+    sampled ones (sums to 1). The result is deterministic: seed is accepted
+    and ignored, because perfbench/stages.py still passes it.
     """
-    tokens = _expand_bow(bow)
-    if not tokens:
+    if not bow.counts:
         raise EmptyDocument(f"doc {bow.doc_id!r} has no in-vocabulary tokens")
-    k = model.k
+    word_ids = sorted(bow.counts)
+    n = np.array([[bow.counts[w]] for w in word_ids], dtype=np.float64)
     alpha = model.hyper.effective_alpha
-    cols = _phi_columns(model.phi, set(tokens))
-
-    rng = np.random.default_rng(seed)
-    n = len(tokens)
-    zs = (rng.random(n) * k).astype(np.int64).tolist()
-    nd = {}
-    for topic in zs:
-        nd[topic] = nd.get(topic, 0) + 1
-    for _ in range(model.hyper.infer_iters):
-        infer_sweep(tokens, zs, nd, cols, alpha, rng.random(n).tolist())
-
-    counts = np.zeros(k)
-    counts[list(nd)] = list(nd.values())
-    return (counts + alpha) / (n + k * alpha)
+    gamma = fold_in(model.phi[:, word_ids].T, n, alpha, model.hyper.infer_iters)
+    return ((gamma * n).sum(axis=0) + alpha) / (n.sum() + model.k * alpha)
 
 
-def perplexity(corpus, model, seed=0):
+def perplexity(corpus, model):
     """Corpus perplexity exp(-mean log p(w|d)) with theta from fold-in inference.
 
     p(w|d) = sum_k theta_dk * phi_kw. Lower is better; a uniform-phi model
@@ -391,7 +380,7 @@ def perplexity(corpus, model, seed=0):
     total_log = 0.0
     total_tokens = 0
     for bow in sorted(corpus, key=lambda b: b.doc_id):
-        theta = infer(bow, model, seed=seed)
+        theta = infer(bow, model)
         word_ids = np.fromiter(sorted(bow.counts), dtype=np.int64)
         counts = np.asarray([bow.counts[w] for w in sorted(bow.counts)], dtype=np.float64)
         p_w = theta @ model.phi[:, word_ids]
@@ -411,7 +400,7 @@ def top_words(model, topic, n):
     return [(model.words[w], float(row[w])) for w in order[:n]]
 
 
-def doc_theta(model, doc, seed=0):
+def doc_theta(model, doc):
     """Topic distribution of a corpus document: the stored training theta, else
     fold-in inference over its text. None when the document has neither a
     stored theta nor an in-vocabulary token."""
@@ -421,7 +410,7 @@ def doc_theta(model, doc, seed=0):
     counts = corpus_mod.text_to_counts(doc.text, model.word_index)
     if not counts:
         return None
-    return infer(corpus_mod.BowDocument(doc_id=doc.doc_id, counts=counts), model, seed=seed)
+    return infer(corpus_mod.BowDocument(doc_id=doc.doc_id, counts=counts), model)
 
 
 def _distribution_rows_error(name, rows):

@@ -353,7 +353,7 @@ def _conv_backward(grad, layer, w, xp, input_grad=True):
     c, b, hp, wp = xp.shape
     oh, ow = grad.shape[2:]
     g = grad.transpose(1, 0, 2, 3).reshape(layer.out_channels, -1)
-    dw = (g @ _patches(xp, layer, oh, ow).T).reshape(w.shape)
+    dw = (_patches(xp, layer, oh, ow) @ g.T).T.reshape(w.shape)
     # Sum each image's map, then add the images in order: the summation
     # order of a reduction over a C-ordered (B, OC, OH, OW) array.
     db = np.ascontiguousarray(g.reshape(layer.out_channels, b, -1).sum(axis=2).T).sum(axis=0)

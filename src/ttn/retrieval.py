@@ -320,7 +320,7 @@ def query(index, query_embedding, target_modality, top_n=10, symmetric=False):
     return [(item_id, dv) for dv, item_id in scored[:n]]
 
 
-def embed_text(text, vocab, model, seed=0):
+def embed_text(text, vocab, model):
     """Topic distribution of a text snippet via LDA fold-in inference.
 
     vocab is a Vocabulary or a word -> id mapping. A snippet with no
@@ -331,12 +331,12 @@ def embed_text(text, vocab, model, seed=0):
     if not counts:
         raise EmptyDocument(f"query text has no in-vocabulary token: {text!r}")
     bow = corpus_mod.BowDocument(doc_id="query", counts=counts)
-    return lda_mod.infer(bow, model, seed=seed)
+    return lda_mod.infer(bow, model)
 
 
-def embed_image(image, checkpoint, n_crops=10):
+def embed_image(image, checkpoint):
     """Topic distribution of an image via the trained net (crop-averaged)."""
-    return textnet.predict_topics(checkpoint, image, n_crops=n_crops)
+    return textnet.predict_topics(checkpoint, image)
 
 
 def save_index(index, path):

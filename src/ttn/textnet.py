@@ -75,7 +75,7 @@ class Checkpoint:
     lda_model_hash: str = ""
 
 
-def make_pairs(docs, model, image_root, infer_missing=False, infer_seed=0):
+def make_pairs(docs, model, image_root, infer_missing=False):
     """Pair every decodable image of every document with that doc's theta.
 
     Documents are visited in doc_id order. A document owning several images
@@ -86,7 +86,7 @@ def make_pairs(docs, model, image_root, infer_missing=False, infer_seed=0):
     pairs = []
     for doc in sorted(docs, key=lambda d: d.doc_id):
         if infer_missing:
-            theta = lda_mod.doc_theta(model, doc, seed=infer_seed)
+            theta = lda_mod.doc_theta(model, doc)
         else:
             theta = model.doc_thetas.get(doc.doc_id)
         if theta is None:
@@ -209,16 +209,13 @@ def _crop_at(image, top, left, size):
     return image[:, top : top + size, left : left + size]
 
 
-def predict_topics(checkpoint, image, n_crops=10):
+def predict_topics(checkpoint, image):
     """Topic distribution for one image: sigmoid logits averaged over crops.
 
-    The views are the center crop and the four corner crops, then the same
-    five mirrored, in that order; n_crops takes a prefix of these ten (all
-    ten when it is larger). The averaged activations are renormalized to
-    sum to one in float64.
+    The ten views are the center crop and the four corner crops, then the
+    same five mirrored, in that order. The averaged activations are
+    renormalized to sum to one in float64.
     """
-    if n_crops < 1:
-        raise ValueError(f"n_crops must be >= 1, got {n_crops}")
     spec = checkpoint.spec
     size = spec.in_shape[1]
     c, h, w = image.shape
@@ -227,7 +224,7 @@ def predict_topics(checkpoint, image, n_crops=10):
     corners = [((h - size) // 2, (w - size) // 2), (0, 0), (0, w - size), (h - size, 0), (h - size, w - size)]
     views = [_crop_at(image, top, left, size) for top, left in corners]
     views += [view[:, :, ::-1] for view in views]
-    x = np.ascontiguousarray(np.stack(views[:n_crops]), dtype=np.float32)
+    x = np.ascontiguousarray(np.stack(views), dtype=np.float32)
     logits, _ = nn.forward(spec, checkpoint.params, x)
     mean_act = nn.sigmoid(logits).mean(axis=0)
     return mean_act / mean_act.sum()

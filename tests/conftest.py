@@ -103,7 +103,7 @@ def _run_pipeline(data_dir: str) -> PipelineRun:
 
     text_rankings = {}
     for item in manifest["queries"]:
-        theta = retrieval.embed_text(item["word"], model.word_index, model, seed=LDA_HYPER.seed)
+        theta = retrieval.embed_text(item["word"], model.word_index, model)
         text_rankings[item["word"]] = retrieval.query(index, theta, "image", top_n=len(entries))
     timings["retrieval"] = time.perf_counter() - t0
 

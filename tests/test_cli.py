@@ -498,11 +498,15 @@ def test_effective_config_records_flags(workspace, tmp_path):
         ["index", "build", "c.jsonl", "-o", "i.bin", "--crops", "4"],
         ["query", "i.bin", "--image", "a.ppm", "--crops", "4"],
         ["index", "build", "c.jsonl", "-o", "i.bin", "--images-dir", "heldout"],
+        ["lda", "infer", "m.lda", "--text", "x", "--seed", "3"],
+        ["query", "i.bin", "--text", "x", "--lda", "m.lda", "--seed", "3"],
+        ["index", "build", "c.jsonl", "-o", "i.bin", "--infer-seed", "3"],
     ],
     ids=[
         "net-train-config", "lda-train-average", "lda-train-burn-in", "eval-sweep-burn-in",
         "vocab-build-stopwords", "lda-train-stopwords", "eval-sweep-stopwords",
         "net-embed-crops", "index-build-crops", "query-crops", "index-build-images-dir",
+        "lda-infer-seed", "query-seed", "index-build-infer-seed",
     ],
 )
 def test_removed_flags_are_usage_errors(argv, capsys):

@@ -427,16 +427,16 @@ def tiny_model():
 
 
 def test_embed_text_deterministic_and_on_simplex(tiny_model):
-    theta = retrieval.embed_text("alpha bravo alpha", tiny_model.word_index, tiny_model, seed=3)
-    again = retrieval.embed_text("alpha bravo alpha", tiny_model.word_index, tiny_model, seed=3)
+    theta = retrieval.embed_text("alpha bravo alpha", tiny_model.word_index, tiny_model)
+    again = retrieval.embed_text("alpha bravo alpha", tiny_model.word_index, tiny_model)
     assert np.array_equal(theta, again)
     assert theta.sum() == pytest.approx(1.0)
     assert theta.shape == (2,)
 
 
 def test_embed_text_finds_planted_topic(tiny_model):
-    a = retrieval.embed_text("alpha bravo", tiny_model.word_index, tiny_model, seed=0)
-    b = retrieval.embed_text("charlie delta", tiny_model.word_index, tiny_model, seed=0)
+    a = retrieval.embed_text("alpha bravo", tiny_model.word_index, tiny_model)
+    b = retrieval.embed_text("charlie delta", tiny_model.word_index, tiny_model)
     assert int(np.argmax(a)) != int(np.argmax(b))
     assert a.max() > 0.8 and b.max() > 0.8
 
@@ -448,9 +448,9 @@ def test_embed_text_rejects_oov(tiny_model):
 
 def test_embed_text_accepts_vocab_like_objects(tiny_model):
     text = "alpha charlie"
-    via_dict = retrieval.embed_text(text, {w: i for i, w in enumerate(WORDS)}, tiny_model, seed=1)
+    via_dict = retrieval.embed_text(text, {w: i for i, w in enumerate(WORDS)}, tiny_model)
     vocab = Vocabulary(words=WORDS, doc_freq=(1,) * len(WORDS), min_df=1, max_df_ratio=1.0, n_docs=1)
-    via_vocab = retrieval.embed_text(text, vocab, tiny_model, seed=1)
+    via_vocab = retrieval.embed_text(text, vocab, tiny_model)
     assert np.array_equal(via_dict, via_vocab)
 
 
@@ -463,8 +463,8 @@ def test_embed_image_matches_predict_topics():
     )
     image = np.random.default_rng(5).random((3, 10, 10))
     np.testing.assert_array_equal(
-        retrieval.embed_image(image, checkpoint, n_crops=4),
-        textnet.predict_topics(checkpoint, image, n_crops=4),
+        retrieval.embed_image(image, checkpoint),
+        textnet.predict_topics(checkpoint, image),
     )
 
 
