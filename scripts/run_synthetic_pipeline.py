@@ -24,6 +24,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from ttn.cli import main as ttn  # noqa: E402
+from ttn.evaluate import load_labels  # noqa: E402
 
 
 def run(argv, label):
@@ -81,12 +82,8 @@ def main():
          "--iters", str(args.net_iters), "--seed", str(args.seed)], "net train")
     run(["net", "train", os.path.join(data, "corpus.jsonl"), model, "-o", initdir,
          "--iters", "0", "--seed", str(args.seed)], "net init")
-    heldout_topic = {}
-    with open(os.path.join(data, "image_labels.csv"), encoding="utf-8") as fh:
-        for line in fh:
-            path, topic = line.strip().split(",")
-            if path.startswith("heldout/"):
-                heldout_topic[path] = int(topic)
+    labels = load_labels(os.path.join(data, "image_labels.csv"))
+    heldout_topic = {path: int(topic) for path, (topic,) in labels.items() if path.startswith("heldout/")}
     # each held-out image as a one-image document, for `index build` and `net features`
     with open(heldout_corpus, "w", encoding="utf-8") as fh:
         for path in sorted(heldout_topic):

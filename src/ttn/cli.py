@@ -180,14 +180,13 @@ def cmd_net_train(args):
         "sgd": asdict(sgd_cfg),
         "augment": asdict(aug_cfg),
         "seed": args.seed,
-        "infer_missing": args.infer_missing,
         "checkpoint_every": args.checkpoint_every,
     }
     with atomic_write(os.path.join(args.out, "effective_config.json"), "w") as fh:
         json.dump(effective, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
-    pairs = textnet.make_pairs(docs, model, image_root, infer_missing=args.infer_missing)
+    pairs = textnet.make_pairs(docs, model, image_root)
     log.info("training on %d pairs for %d iterations", len(pairs), sgd_cfg.max_iters)
     checkpoint, history = textnet.train(
         pairs,
@@ -393,34 +392,9 @@ def cmd_eval_sweep(args):
         seed=args.seed,
     )
 
-    if args.closure == "purity":
-
-        def closure(k, model):
-            assignments = [int(np.argmax(lda_mod.infer(bow, model))) for bow in val_bows]
-            return evaluate_mod.cluster_purity(assignments, [labels[b.doc_id] for b in val_bows])
-
-    else:  # net: train a topic-regression net per k and score held-out image purity
-        image_root = _image_root(args)
-        sgd_cfg = nn.SgdConfig(base_lr=args.base_lr, batch_size=args.batch_size, max_iters=args.net_iters)
-        aug_cfg = textnet.AugmentConfig(crop_size=args.crop_size, seed=hyper.seed)
-
-        def closure(k, model):
-            pairs = textnet.make_pairs(train_docs, model, image_root)
-            spec = _resolve_spec("tiny", k, aug_cfg.crop_size)
-            ckpt, _ = textnet.train(pairs, spec, sgd_cfg, aug_cfg, hyper.seed)
-            assignments, labs = [], []
-            for doc in val_docs:
-                if doc.doc_id not in labels:
-                    continue
-                for rel in doc.image_paths:
-                    image = decode_image(os.path.join(image_root, rel))
-                    theta = textnet.predict_topics(ckpt, image)
-                    assignments.append(int(np.argmax(theta)))
-                    labs.append(labels[doc.doc_id])
-            return evaluate_mod.cluster_purity(assignments, labs)
-
     candidate_ks = [int(k) for k in args.ks.split(",") if k.strip()]
-    best_k, scores = evaluate_mod.topic_sweep(train_bows, vocab.words, candidate_ks, hyper, closure)
+    val_labels = [labels[bow.doc_id] for bow in val_bows]
+    best_k, scores = evaluate_mod.topic_sweep(train_bows, val_bows, val_labels, vocab.words, candidate_ks, hyper)
     lines = ["k,score"]
     lines += [f"{k},{scores[k]:.6f}" for k in sorted(scores)]
     lines.append(f"best_k,{best_k}")
@@ -507,7 +481,6 @@ def build_parser():
     p.add_argument("--crop-size", type=int, default=32)
     p.add_argument("--mirror-prob", type=float, default=textnet.AugmentConfig.mirror_prob)
     p.add_argument("--checkpoint-every", type=int, default=0, help="iterations between checkpoints (0: none)")
-    p.add_argument("--infer-missing", action="store_true", help="infer thetas for docs absent from the model")
     p.set_defaults(func=cmd_net_train)
 
     p = net.add_parser("embed", help="print an image's topic distribution or layer features")
@@ -574,7 +547,6 @@ def build_parser():
     p.add_argument("--ks", required=True, help="comma-separated candidate topic counts")
     p.add_argument("--labels", required=True, help="CSV doc_id,class_id with planted classes")
     p.add_argument("--val-fraction", type=float, default=0.25)
-    p.add_argument("--closure", choices=("purity", "net"), default="purity")
     p.add_argument("--min-df", type=int, default=2)
     p.add_argument("--max-df-ratio", type=float, default=0.5)
     p.add_argument("--alpha", type=float, default=None)
@@ -582,11 +554,6 @@ def build_parser():
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--infer-iters", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--image-root", default=None)
-    p.add_argument("--net-iters", type=int, default=300)
-    p.add_argument("--base-lr", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--crop-size", type=int, default=32)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_eval_sweep)
 

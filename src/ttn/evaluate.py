@@ -165,13 +165,13 @@ def cluster_purity(assignments, labels):
     return correct / len(assignments)
 
 
-def topic_sweep(bows, words, candidate_ks, hyper, evaluate):
+def topic_sweep(train_bows, val_bows, val_labels, words, candidate_ks, hyper):
     """Model selection over topic counts.
 
-    For each k (ascending) an LDA is trained on the bag-of-words corpus with
-    `hyper` re-instantiated at that k, then `evaluate(k, model)` produces a
-    validation score; the closure is free to train nets, classify held-out
-    items, or anything else. Returns (best_k, scores dict). Ties go to the
+    For each k (ascending) an LDA is trained on train_bows with `hyper`
+    re-instantiated at that k. Its score is the cluster purity of the argmax
+    topic of each validation bag's fold-in against val_labels, which runs
+    parallel to val_bows. Returns (best_k, scores dict). Ties go to the
     smaller k because candidates are visited ascending and only a strictly
     better score displaces the incumbent.
     """
@@ -182,8 +182,9 @@ def topic_sweep(bows, words, candidate_ks, hyper, evaluate):
     best_k = None
     best_score = -np.inf
     for k in candidate_ks:
-        model = lda_mod.train(bows, replace(hyper, k=k), words)
-        score = float(evaluate(k, model))
+        model = lda_mod.train(train_bows, replace(hyper, k=k), words)
+        assignments = [int(np.argmax(lda_mod.infer(bow, model))) for bow in val_bows]
+        score = cluster_purity(assignments, val_labels)
         scores[k] = score
         if score > best_score:
             best_score = score

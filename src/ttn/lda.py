@@ -22,6 +22,7 @@ import hashlib
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,7 +122,7 @@ class LdaModel:
     doc_thetas: dict  # doc_id -> (k,) theta
     words: tuple
 
-    @property
+    @cached_property
     def word_index(self):
         return {w: i for i, w in enumerate(self.words)}
 

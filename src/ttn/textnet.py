@@ -75,29 +75,28 @@ class Checkpoint:
     lda_model_hash: str = ""
 
 
-def make_pairs(docs, model, image_root, infer_missing=False):
+def make_pairs(docs, model, image_root):
     """Pair every decodable image of every document with that doc's theta.
 
-    Documents are visited in doc_id order. A document owning several images
-    yields several pairs with identical targets. Unreadable images, and docs
-    without a stored theta (unless infer_missing covers them), are skipped
-    with a warning; if nothing survives, NoPairs is raised.
+    Documents are visited in doc_id order, and each target is
+    lda.doc_theta's: the stored theta, else fold-in over the doc's text. A
+    document owning several images yields several pairs with identical
+    targets. Unreadable images, and docs with neither a stored theta nor an
+    in-vocabulary token, are skipped with a warning; if nothing survives,
+    NoPairs is raised.
     """
     pairs = []
     for doc in sorted(docs, key=lambda d: d.doc_id):
-        if infer_missing:
-            theta = lda_mod.doc_theta(model, doc)
-        else:
-            theta = model.doc_thetas.get(doc.doc_id)
+        theta = lda_mod.doc_theta(model, doc)
         if theta is None:
-            log.warning("doc %s: no stored theta and none inferred, skipped", doc.doc_id)
+            log.warning("doc %s: no stored theta and no in-vocabulary token, skipped", doc.doc_id)
             continue
         for rel_path in doc.image_paths:
             path = os.path.join(image_root, rel_path)
             try:
                 pairs.append(TrainingPair(image=decode_image(path), target=np.asarray(theta, dtype=np.float64),
                                           doc_id=doc.doc_id))
-            except Exception as exc:  # noqa: BLE001 - any per-image failure is just a skip
+            except (DataError, OSError) as exc:
                 log.warning("skipping image %s: %s", path, exc)
     if not pairs:
         raise NoPairs("no (image, theta) pair could be built")

@@ -280,16 +280,6 @@ def test_eval_sweep_rejects_val_fraction_outside_half(workspace, capsys, fractio
     assert "DataError: --val-fraction must be in (0, 0.5]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--base-lr=0", "--base-lr=nan", "--batch-size=0", "--crop-size=0"])
-def test_eval_sweep_net_rejects_bad_settings(workspace, capsys, flag):
-    labels = os.path.join(workspace["data"], "labels.csv")
-    assert main([
-        "eval", "sweep", workspace["corpus"], "--ks", "2", "--labels", labels, "--iters", "2",
-        "--closure", "net", "--net-iters", "1", flag,
-    ]) == 3
-    assert "ValueError" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
 def test_index_build_rejects_epsilon_the_reader_refuses(workspace, tmp_path, capsys, epsilon):
     out = tmp_path / "index.bin"
@@ -477,7 +467,6 @@ def test_effective_config_records_flags(workspace, tmp_path):
                 "batch_size": 4, "max_iters": 6},
         "augment": {"crop_size": 32, "mirror_prob": 0.5, "seed": 9},
         "seed": 9,
-        "infer_missing": False,
         "checkpoint_every": 0,
     }
     with open(os.path.join(out, "loss.csv"), encoding="utf-8") as fh:
@@ -501,12 +490,21 @@ def test_effective_config_records_flags(workspace, tmp_path):
         ["lda", "infer", "m.lda", "--text", "x", "--seed", "3"],
         ["query", "i.bin", "--text", "x", "--lda", "m.lda", "--seed", "3"],
         ["index", "build", "c.jsonl", "-o", "i.bin", "--infer-seed", "3"],
+        ["eval", "sweep", "c.jsonl", "--ks", "2", "--labels", "l.csv", "--closure", "purity"],
+        ["eval", "sweep", "c.jsonl", "--ks", "2", "--labels", "l.csv", "--image-root", "data"],
+        ["eval", "sweep", "c.jsonl", "--ks", "2", "--labels", "l.csv", "--net-iters", "1"],
+        ["eval", "sweep", "c.jsonl", "--ks", "2", "--labels", "l.csv", "--base-lr", "0.01"],
+        ["eval", "sweep", "c.jsonl", "--ks", "2", "--labels", "l.csv", "--batch-size", "4"],
+        ["eval", "sweep", "c.jsonl", "--ks", "2", "--labels", "l.csv", "--crop-size", "32"],
+        ["net", "train", "c.jsonl", "m.lda", "-o", "net", "--infer-missing"],
     ],
     ids=[
         "net-train-config", "lda-train-average", "lda-train-burn-in", "eval-sweep-burn-in",
         "vocab-build-stopwords", "lda-train-stopwords", "eval-sweep-stopwords",
         "net-embed-crops", "index-build-crops", "query-crops", "index-build-images-dir",
         "lda-infer-seed", "query-seed", "index-build-infer-seed",
+        "eval-sweep-closure", "eval-sweep-image-root", "eval-sweep-net-iters", "eval-sweep-base-lr",
+        "eval-sweep-batch-size", "eval-sweep-crop-size", "net-train-infer-missing",
     ],
 )
 def test_removed_flags_are_usage_errors(argv, capsys):

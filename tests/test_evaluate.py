@@ -224,39 +224,46 @@ def test_cluster_purity_validates():
 
 # ---------------------------------------------------------------------- sweep
 
-def test_topic_sweep_selects_best_scoring_k():
-    bows = [BowDocument(f"d{i}", {i % 4: 3, (i % 4 + 1) % 4: 1}) for i in range(8)]
-    hyper = lda_mod.LdaHyperparams(k=2, alpha=0.5, n_iters=5, seed=0)
+def _block_bows(n, n_blocks, rng, prefix="d"):
+    """Docs of 12 tokens drawn from one of n_blocks disjoint 3-word blocks,
+    taken in turn; each doc's label is its block."""
+    bows, labels = [], []
+    for i in range(n):
+        block = i % n_blocks
+        words = rng.integers(block * 3, block * 3 + 3, size=12)
+        ids, counts = np.unique(words, return_counts=True)
+        bows.append(BowDocument(f"{prefix}{i:03d}", {int(a): int(b) for a, b in zip(ids, counts)}))
+        labels.append(block)
+    return bows, labels
+
+
+def test_topic_sweep_selects_best_scoring_k(monkeypatch):
+    rng = np.random.default_rng(0)
+    train_bows, _ = _block_bows(20, 2, rng)
+    val_bows, val_labels = _block_bows(10, 2, rng, prefix="v")
+    hyper = lda_mod.LdaHyperparams(k=2, alpha=0.5, n_iters=20, seed=0)
     seen = []
+    real_train = lda_mod.train
 
-    def fake_eval(k, model):
-        seen.append((k, model.k))
-        return {1: 0.2, 2: 0.9, 4: 0.9}[k]  # tie between 2 and 4
+    def recording_train(bows, hyper, words):
+        model = real_train(bows, hyper, words)
+        seen.append((hyper.k, model.k))
+        return model
 
-    best_k, scores = E.topic_sweep(bows, tuple("wxyz"), [4, 1, 2], hyper, fake_eval)
+    monkeypatch.setattr(lda_mod, "train", recording_train)
+    best_k, scores = E.topic_sweep(train_bows, val_bows, val_labels, tuple("abcdef"), [4, 1, 2], hyper)
+    assert scores == {1: 0.5, 2: 1.0, 4: 1.0}  # two blocks: k=2 and k=4 tie
     assert best_k == 2  # strict-improvement rule: ties go to the smaller k
-    assert scores == {1: 0.2, 2: 0.9, 4: 0.9}
     assert seen == [(1, 1), (2, 2), (4, 4)]  # ascending, model k matches candidate
 
 
 def test_topic_sweep_recovers_planted_block_count():
     # Three word blocks; labels follow the block of each doc's tokens.
     rng = np.random.default_rng(0)
-    bows, labels = [], {}
-    for i in range(45):
-        block = i % 3
-        words = rng.integers(block * 3, block * 3 + 3, size=12)
-        ids, counts = np.unique(words, return_counts=True)
-        doc_id = f"d{i:03d}"
-        bows.append(BowDocument(doc_id, {int(a): int(b) for a, b in zip(ids, counts)}))
-        labels[doc_id] = block
+    train_bows, _ = _block_bows(45, 3, rng)
+    val_bows, val_labels = _block_bows(15, 3, rng, prefix="v")
     hyper = lda_mod.LdaHyperparams(k=2, alpha=0.1, n_iters=60, seed=1)
-
-    def purity_eval(k, model):
-        assignments = [int(np.argmax(model.doc_thetas[b.doc_id])) for b in bows]
-        return E.cluster_purity(assignments, [labels[b.doc_id] for b in bows])
-
-    best_k, scores = E.topic_sweep(bows, tuple("abcdefghi"), [2, 3, 5], hyper, purity_eval)
+    best_k, scores = E.topic_sweep(train_bows, val_bows, val_labels, tuple("abcdefghi"), [2, 3, 5], hyper)
     assert best_k == 3
     assert scores[3] > scores[2]  # two topics cannot separate three blocks
 

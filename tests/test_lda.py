@@ -475,6 +475,16 @@ def test_model_roundtrip_without_docs(tmp_path, planted_model):
     assert loaded.content_hash() == model.content_hash()
 
 
+def test_word_index_cached_after_load(tmp_path, planted_model):
+    _, model = planted_model
+    path = str(tmp_path / "model.lda")
+    L.save_model(model, path)
+    loaded = L.load_model(path)
+    index = loaded.word_index
+    assert loaded.word_index is index
+    assert index == {w: i for i, w in enumerate(loaded.words)}
+
+
 @pytest.mark.parametrize(
     "tensor, value, message",
     [

@@ -94,20 +94,24 @@ def test_make_pairs_missing_images_skipped(synth_dataset, small_model, tmp_path)
 def test_make_pairs_infer_missing(synth_dataset, small_model):
     cfg, manifest = synth_dataset
     docs, model = small_model
-    stripped = lda_mod.LdaModel(
-        vocab_size=model.vocab_size,
-        k=model.k,
-        phi=model.phi,
-        hyper=model.hyper,
-        doc_thetas={},
-        words=model.words,
-    )
-    with pytest.raises(NoPairs):
-        textnet.make_pairs(docs, stripped, manifest["out_dir"], infer_missing=False)
-    pairs = textnet.make_pairs(docs, stripped, manifest["out_dir"], infer_missing=True)
+    stripped = dataclasses.replace(model, doc_thetas={})
+    pairs = textnet.make_pairs(docs, stripped, manifest["out_dir"])
     assert len(pairs) == sum(len(d.image_paths) for d in docs)
+    by_id = {d.doc_id: d for d in docs}
     for pair in pairs:
-        assert pair.target.sum() == pytest.approx(1.0)
+        assert np.array_equal(pair.target, lda_mod.doc_theta(stripped, by_id[pair.doc_id]))
+
+
+def test_make_pairs_propagates_unexpected_errors(synth_dataset, small_model, monkeypatch):
+    cfg, manifest = synth_dataset
+    docs, model = small_model
+
+    def broken_decode(path):
+        raise RuntimeError("not a bad-file error")
+
+    monkeypatch.setattr(textnet, "decode_image", broken_decode)
+    with pytest.raises(RuntimeError, match="not a bad-file error"):
+        textnet.make_pairs(docs, model, manifest["out_dir"])
 
 
 # -------------------------------------------------------------------- augment
