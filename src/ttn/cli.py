@@ -117,10 +117,11 @@ def _hyper_from(args):
 
 
 def cmd_lda_train(args):
+    hyper = _hyper_from(args)
     docs = corpus_mod.load_corpus(args.corpus)
     vocab = corpus_mod.Vocabulary.load(args.vocab)
     bows = _corpus_to_bows(docs, vocab)
-    model = lda_mod.train(bows, _hyper_from(args), vocab.words)
+    model = lda_mod.train(bows, hyper, vocab.words)
     lda_mod.save_model(model, args.out)
     log.info("trained k=%d on %d docs -> %s", model.k, len(bows), args.out)
     return 0
@@ -367,6 +368,14 @@ def _stride_split(items, val_fraction):
 def cmd_eval_sweep(args):
     if not 0 < args.val_fraction <= 0.5:  # NaN fails this too
         raise DataError(f"--val-fraction must be in (0, 0.5], got {args.val_fraction}")
+    hyper = lda_mod.LdaHyperparams(
+        k=2,  # placeholder; topic_sweep re-instantiates per candidate
+        alpha=args.alpha,
+        beta_prior=args.beta,
+        n_iters=args.iters,
+        infer_iters=args.infer_iters,
+        seed=args.seed,
+    )
     docs = corpus_mod.load_corpus(args.corpus)
     vocab = corpus_mod.build_vocabulary(docs, min_df=args.min_df, max_df_ratio=args.max_df_ratio)
     labels = {}
@@ -382,15 +391,6 @@ def cmd_eval_sweep(args):
     for bow in val_bows:
         if bow.doc_id not in labels:
             raise DataError(f"validation doc {bow.doc_id!r} missing from labels")
-
-    hyper = lda_mod.LdaHyperparams(
-        k=2,  # placeholder; topic_sweep re-instantiates per candidate
-        alpha=args.alpha,
-        beta_prior=args.beta,
-        n_iters=args.iters,
-        infer_iters=args.infer_iters,
-        seed=args.seed,
-    )
 
     candidate_ks = [int(k) for k in args.ks.split(",") if k.strip()]
     val_labels = [labels[bow.doc_id] for bow in val_bows]

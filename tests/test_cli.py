@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from ttn import nn
+from ttn import lda, nn
 from ttn.cli import build_parser, main
 from ttn.fileio import MAGIC_FEATURES, MAGIC_LDA
 
@@ -278,6 +278,24 @@ def test_eval_sweep_rejects_val_fraction_outside_half(workspace, capsys, fractio
         f"--val-fraction={fraction}",
     ]) == 3
     assert "DataError: --val-fraction must be in (0, 0.5]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lda-train", "eval-sweep"])
+@pytest.mark.parametrize("prior", ["--alpha=nan", "--alpha=inf", "--beta=nan", "--beta=inf"])
+def test_lda_priors_not_finite_exit_3_before_sampling(workspace, tmp_path, capsys, monkeypatch, command, prior):
+    def no_sweep(*args):
+        raise AssertionError("a Gibbs sweep ran")
+
+    monkeypatch.setattr(lda, "gibbs_sweep", no_sweep)
+    out = tmp_path / "model.lda"
+    if command == "lda-train":
+        argv = ["lda", "train", workspace["corpus"], workspace["vocab"], "-o", str(out), "-k", "2", prior]
+    else:
+        labels = os.path.join(workspace["data"], "labels.csv")
+        argv = ["eval", "sweep", workspace["corpus"], "--ks", "2,3", "--labels", labels, prior]
+    assert main(argv) == 3
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])

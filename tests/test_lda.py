@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import copy
 import math
 
@@ -62,6 +63,13 @@ def test_hyperparam_validation():
         L.LdaHyperparams(beta_prior=-1.0)
     with pytest.raises(ValueError):
         L.LdaHyperparams(n_iters=-1)
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta_prior"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_hyperparam_priors_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        L.LdaHyperparams(**{field: value})
 
 
 # -------------------------------------------------------------------- sampler
@@ -128,6 +136,108 @@ def _dense_reference_sweep(state, alpha, beta, uniforms):
             nd[new] += 1
             n_k[new] += 1
             nw[new] = nw.get(new, 0) + 1
+
+
+def _remove_then_draw_sweep(state, alpha, beta, uniforms):
+    """The two-bucket sampler as it was before draws stopped writing the
+    count tables on a stay, kept as the reference: every token is removed
+    from the counts, drawn, and added back."""
+    v_beta = state.vocab_size * beta
+    n_wk = state.n_wk
+    n_k = state.n_k
+    pos = 0
+    for d, tokens in enumerate(state.doc_tokens):
+        nd = state.n_dk[d]
+        zs = state.z[d]
+        qc = [(alpha + c) / (n + v_beta) for c, n in zip(nd, n_k)]
+        q_sum = sum(qc)
+        for i, w in enumerate(tokens):
+            old = zs[i]
+            nw = n_wk[w]
+            nd[old] -= 1
+            n_k[old] -= 1
+            c = nw[old] - 1
+            if c:
+                nw[old] = c
+            else:
+                del nw[old]
+            q = (alpha + nd[old]) / (n_k[old] + v_beta)
+            q_sum += q - qc[old]
+            qc[old] = q
+
+            w_sum = 0.0
+            for t, c in nw.items():
+                w_sum += qc[t] * c
+            r = uniforms[pos] * (w_sum + beta * q_sum)
+            pos += 1
+            # If rounding carries r past a bucket's scanned total, its scan
+            # ends on its last topic, which has weight in that bucket.
+            if r < w_sum:
+                acc = 0.0
+                for new, c in nw.items():
+                    acc += qc[new] * c
+                    if r < acc:
+                        break
+            else:
+                r = (r - w_sum) / beta
+                acc = 0.0
+                for new, q in enumerate(qc):
+                    acc += q
+                    if r < acc:
+                        break
+
+            zs[i] = new
+            nd[new] += 1
+            n_k[new] += 1
+            nw[new] = nw.get(new, 0) + 1
+            q = (alpha + nd[new]) / (n_k[new] + v_beta)
+            q_sum += q - qc[new]
+            qc[new] = q
+
+
+def _ordered_state(state):
+    """Everything a later sweep reads, dict order included (counts_consistent
+    compares dicts with ==, which ignores order)."""
+    return state.z, state.n_dk, state.n_k, [list(row.items()) for row in state.n_wk]
+
+
+def _recording_uniforms(uniforms, totals):
+    """uniforms as floats that append to totals the weight each draw scales
+    them by, so a rounding difference shows even where no draw flips."""
+
+    class Uniform(float):
+        def __mul__(self, total):
+            totals.append(total)
+            return float(self) * total
+
+    return [Uniform(u) for u in uniforms]
+
+
+@pytest.mark.parametrize("k", [1, 3, 40])
+@pytest.mark.parametrize("alpha, beta", [(0.1, 0.01), (0.1, 0.5), (1.25, 0.01), (1.25, 0.5)])
+def test_gibbs_sweep_matches_remove_then_draw_reference(k, alpha, beta):
+    """Bit for bit, sweep by sweep, and every seventh uniform at the top of
+    [0, 1), where a bucket's running sum can fall a rounding step short:
+    the same assignments, counts and dict order, and every draw's total
+    weight equal to the last bit. Each document ends on a word seen once in
+    the corpus, so its count is 1 wherever it sits and its draw's total is
+    beta times the running sum left by the document's other tokens."""
+    rng = np.random.default_rng(k)
+    bows = []
+    for d in range(12):
+        words, counts = np.unique(rng.integers(0, 24, 14), return_counts=True)
+        bows.append(BowDocument(f"d{d:02d}", {**dict(zip(words.tolist(), counts.tolist())), 24 + d: 1}))
+    state = L.gibbs_init(bows, k=k, vocab_size=36, rng=rng)
+    reference = copy.deepcopy(state)
+    total = sum(len(t) for t in state.doc_tokens)
+    for _ in range(10):
+        uniforms = rng.random(total)
+        uniforms[::7] = np.nextafter(1.0, 0.0)
+        totals, reference_totals = [], []
+        L.gibbs_sweep(state, alpha, beta, _recording_uniforms(uniforms, totals))
+        _remove_then_draw_sweep(reference, alpha, beta, _recording_uniforms(uniforms, reference_totals))
+        assert _ordered_state(state) == _ordered_state(reference)
+        assert len(totals) == total and totals == reference_totals
 
 
 def _grid_shares(draw, k):
@@ -385,6 +495,69 @@ def test_fold_in_agrees_with_gibbs_reference(alpha, bound, phi_seed):
     _, _, theta = _fold_in_theta(phi, FOLD_IN_COUNTS, alpha, max_iters=50)
     reference = _gibbs_fold_in_mean(phi, FOLD_IN_COUNTS, alpha)
     assert float(np.sum(reference * np.log(reference / theta))) < bound
+
+
+def _mixed_topic_bows(seed, n_docs, prefix, n_planted=20, step=8, width=12, tokens=30):
+    """Documents drawing 1-3 of n_planted topics each; topic t emits words
+    [step t, step t + width), so neighbouring topics share width - step words."""
+    rng = np.random.default_rng(seed)
+    bows = []
+    for i in range(n_docs):
+        topics = rng.choice(n_planted, size=int(rng.integers(1, 4)), replace=False)
+        counts = rng.multinomial(tokens, rng.dirichlet(np.ones(len(topics))))
+        words = [w for t, c in zip(topics, counts) for w in rng.integers(t * step, t * step + width, size=c)]
+        ids, cs = np.unique(words, return_counts=True)
+        bows.append(BowDocument(f"{prefix}{i:03d}", dict(zip(ids.tolist(), cs.tolist()))))
+    return bows, n_planted * step + width - step
+
+
+def _stopping_at_fixed_point(lik, n, alpha, max_iters):
+    """fold_in as it was before it stopped on 2-cycles, kept as the
+    reference: it stops only at a fixed point, so a cycling gamma runs to
+    max_iters. Also says how the iterates ended: "fixed", "cycle" (an
+    iterate equal to the one two iterations back) or "cap"."""
+    top = lik.max(axis=1, keepdims=True)
+    lik = np.divide(lik, top, out=np.ones_like(lik), where=top > 0)
+    gamma = lik / lik.sum(axis=1, keepdims=True)
+    iterates = [gamma]
+    for _ in range(max_iters):
+        new = (gamma * n).sum(axis=0) - gamma
+        np.maximum(new, 0.0, out=new)
+        new += alpha
+        new *= lik
+        new /= new.sum(axis=1, keepdims=True)
+        if np.array_equal(new, gamma):
+            return gamma, "fixed"
+        gamma = new
+        iterates.append(gamma)
+    cycled = any(np.array_equal(a, b) for a, b in zip(iterates, iterates[2:]))
+    return gamma, "cycle" if cycled else "cap"
+
+
+@pytest.fixture(scope="module")
+def mixed_k40_model():
+    bows, vocab_size = _mixed_topic_bows(1, 100, "d")
+    words = tuple(f"w{i:03d}" for i in range(vocab_size))
+    return L.train(bows, L.LdaHyperparams(k=40, n_iters=10, seed=1), words)
+
+
+@pytest.mark.parametrize("max_iters", [49, 50])
+def test_fold_in_equals_full_length_loop(mixed_k40_model, max_iters):
+    """Held-out documents folded into a K=40 model: gamma is bit-identical
+    to the reference's whether the iterates reach a fixed point, settle
+    into a 2-cycle (where the parity of max_iters picks the iterate) or run
+    to the cap, and all three occur."""
+    heldout, _ = _mixed_topic_bows(101, 60, "h")
+    alpha = mixed_k40_model.hyper.effective_alpha
+    endings = collections.Counter()
+    for bow in heldout:
+        word_ids = sorted(bow.counts)
+        n = np.array([[bow.counts[w]] for w in word_ids], dtype=np.float64)
+        lik = mixed_k40_model.phi[:, word_ids].T
+        expected, ending = _stopping_at_fixed_point(lik, n, alpha, max_iters)
+        assert L.fold_in(lik, n, alpha, max_iters).tobytes() == expected.tobytes(), (bow.doc_id, ending)
+        endings[ending] += 1
+    assert set(endings) == {"fixed", "cycle", "cap"}, endings
 
 
 # ----------------------------------------------------------------- perplexity
