@@ -4,8 +4,9 @@
 Runs forward, sigmoid cross-entropy, backward and the SGD update of
 `tiny_topic_net(3)` on a float32 batch (64 random 32x32 images by default)
 on one BLAS thread, and prints the median forward and backward time of each
-layer, the median whole step, the minor page faults per step and the
-tracemalloc peak of one forward and backward pass.
+layer, the median whole step, the minor page faults per step, the
+tracemalloc peak of one forward and backward pass and that of one forward
+alone.
 
     python3 scripts/time_net_step.py --steps 25
 """
@@ -53,15 +54,17 @@ def timed_step(spec, params, batch, targets, sgd):
     return fwd, bwd, grads
 
 
-def traced_peak(spec, params, batch, targets):
-    """tracemalloc peak, in bytes, of one nn.forward and nn.backward."""
+def traced_peaks(spec, params, batch, targets):
+    """tracemalloc peaks, in bytes, of one nn.forward alone and of one
+    nn.forward and nn.backward."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         logits, cache = nn.forward(spec, params, batch)
+        forward_peak = tracemalloc.get_traced_memory()[1] - base
         nn.backward(spec, params, cache, nn.sigmoid_cross_entropy(logits, targets)[1])
-        return tracemalloc.get_traced_memory()[1] - base
+        return forward_peak, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
@@ -91,7 +94,7 @@ def main(argv=None):
         fwd_runs.append(fwd)
         bwd_runs.append(bwd)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    peak = traced_peak(spec, params, batch, targets)
+    forward_peak, peak = traced_peaks(spec, params, batch, targets)
 
     print(f"tiny_topic_net(3), float32, batch {args.batch}, one BLAS thread, median of {args.steps} steps")
     print(f"{'layer':<8} {'fwd_ms':>8} {'bwd_ms':>8}")
@@ -102,6 +105,7 @@ def main(argv=None):
     print(f"step_ms {statistics.median(step_runs) * 1e3:.3f}")
     print(f"minor_faults_per_step {faults / args.steps:.1f}")
     print(f"traced_peak_mib {peak / 2**20:.2f}")
+    print(f"forward_peak_mib {forward_peak / 2**20:.2f}")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ share one container layout: 8 magic bytes, a uint64 little-endian header
 length, a UTF-8 JSON header whose "shapes" field lists the tensor shapes, then
 raw little-endian float64 payloads in that order. Every writer goes through
 atomic_write so a crashed run never leaves a half-written artifact behind.
+
+Images are binary PPM (P6, maxval 255). A decoded image is the file's own
+bytes as a (3, H, W) uint8 array, an eighth of the float64 it would take;
+textnet turns the crops it feeds the net into float32 v / 255.
 """
 
 from __future__ import annotations
@@ -203,7 +207,12 @@ def _read_ppm_token(fh):
 
 
 def read_ppm(path):
-    """Decode a binary PPM (P6) file to a float64 (3, H, W) array in [0, 1]."""
+    """Decode a binary PPM (P6, maxval 255) file to its (3, H, W) uint8 bytes.
+
+    The array is channel-major and owns its memory. A foreign tag raises
+    FormatVersionMismatch; another maxval, a size that is not positive or
+    pixel data shorter than the header declares raises CorruptFile.
+    """
     with open(path, "rb") as fh:
         if fh.read(2) != b"P6":
             raise FormatVersionMismatch(f"{path}: not a binary PPM (P6) file")
@@ -220,15 +229,19 @@ def read_ppm(path):
             raise CorruptFile(f"{path}: truncated pixel data")
         raw = fh.read(width * height * 3)
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
-    return pixels.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return np.ascontiguousarray(pixels.transpose(2, 0, 1))
 
 
 def write_ppm(path, image):
-    """Write a (3, H, W) float array in [0, 1] as binary PPM."""
+    """Write a (3, H, W) image as binary PPM: uint8 bytes as they are, as
+    read_ppm returns them, or floats in [0, 1] (clipped) rounded to v * 255."""
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
         raise DataError(f"expected a (3, H, W) image, got shape {image.shape}")
-    pixels = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
+    if image.dtype == np.uint8:
+        pixels = image
+    else:
+        pixels = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
     _, h, w = pixels.shape
     with atomic_write(path) as fh:
         fh.write(b"P6\n%d %d\n255\n" % (w, h))
@@ -236,7 +249,8 @@ def write_ppm(path, image):
 
 
 def decode_image(path):
-    """Decode an image file by extension; .ppm is the one format."""
+    """Decode an image file by extension to (3, H, W) uint8 bytes; .ppm is
+    the one format, and any other extension raises DataError."""
     if os.fspath(path).lower().endswith(".ppm"):
         return read_ppm(path)
     raise DataError(f"unsupported image format: {path}")

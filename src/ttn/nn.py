@@ -1,12 +1,15 @@
 """Minimal dense-tensor CNN kernels: layers, sigmoid cross-entropy, SGD with momentum.
 
 Everything is plain numpy. Convolution builds its patches channel-major,
-as a (C*k*k, B*OH*OW) matrix of k*k strided copies of the padded input, so
-forward and weight gradient are one GEMM each over the whole batch; its
-output is the (B, OC, OH, OW) transposed view of an (OC, B, OH, OW) array.
-A conv layer caches only its (C, B, H+2p, W+2p) padded input. The patch
-matrix, k*k/stride**2 times larger, is freed after the forward GEMM and
-rebuilt in backward for the weight gradient, as Caffe does. The input
+as a (C*k*k, B*OH*OW) matrix of k*k strided copies of the padded input.
+Forward builds it for slices of whole images, at most _PATCH_BUDGET
+elements each, and each slice's GEMM writes its columns of one
+(OC, B*OH*OW) output, bit for bit what one GEMM over the batch gives; the
+output is the (B, OC, OH, OW) transposed view of that (OC, B, OH, OW)
+array. A conv layer caches only its (C, B, H+2p, W+2p) padded input.
+Backward rebuilds the whole batch's patch matrix for the weight gradient,
+as Caffe does, and keeps it whole: splitting that GEMM's reduction over
+the batch would change its bits. The input
 gradient is one (C*k*k, OC) x (OC, B*OH*OW) GEMM for the whole patch
 gradient, whose k*k tap rows are then added where those patches were read.
 Max pooling is a running np.maximum over the w*w window-offset views; its
@@ -337,6 +340,10 @@ def _patches(xp, layer, oh, ow):
     return cols.reshape(c * k * k, b * oh * ow)
 
 
+# Most patch-matrix elements a conv forward builds at once (4 MiB in float32).
+_PATCH_BUDGET = 2**20
+
+
 def _conv_forward(x, layer, w, bias):
     k, s, p = layer.kernel, layer.stride, layer.pad
     b, c, h, wd = x.shape
@@ -344,7 +351,15 @@ def _conv_forward(x, layer, w, bias):
     ow = (wd + 2 * p - k) // s + 1
     xp = np.zeros((c, b, h + 2 * p, wd + 2 * p), dtype=x.dtype)
     xp[:, :, p : p + h, p : p + wd] = x.transpose(1, 0, 2, 3)
-    out = w.reshape(layer.out_channels, -1) @ _patches(xp, layer, oh, ow)
+    # Slices of whole images, each GEMM writing its own output columns. The
+    # BLAS sums each output column in the same order whichever columns a
+    # GEMM covers; tests/test_nn.py checks the bits against one GEMM.
+    w_flat = w.reshape(layer.out_channels, -1)
+    out = np.empty((layer.out_channels, b * oh * ow), dtype=np.result_type(w, x))
+    step = max(1, _PATCH_BUDGET // (c * k * k * oh * ow))
+    for lo in range(0, b, step):
+        hi = min(lo + step, b)
+        np.matmul(w_flat, _patches(xp[:, lo:hi], layer, oh, ow), out=out[:, lo * oh * ow : hi * oh * ow])
     out += bias[:, None]
     return out.reshape(layer.out_channels, b, oh, ow).transpose(1, 0, 2, 3), xp
 

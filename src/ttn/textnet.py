@@ -30,24 +30,36 @@ from .errors import (
     NonFiniteLoss,
     ShapeMismatch,
 )
-from .fileio import MAGIC_NET, decode_image, read_tensor_file, write_tensor_file
+from .fileio import MAGIC_NET, decode_image, finite_non_negative, read_tensor_file, write_tensor_file
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
 class TrainingPair:
-    """One training example: a stored image and its soft topic target."""
+    """One training example: a stored image and its soft topic target.
 
-    image: np.ndarray  # (3, H, W) in [0, 1]
-    target: np.ndarray  # (k,) on the simplex
+    The image is (3, H, W): uint8 bytes as decode_image returns them, or
+    floats in [0, 1] (a rendered image). The target is a distribution:
+    finite, non-negative and summing to 1 within 1e-6. A wrong image shape
+    raises ShapeMismatch; any other image or target raises ValueError.
+    """
+
+    image: np.ndarray
+    target: np.ndarray
     doc_id: str
 
     def __post_init__(self):
-        if self.image.ndim != 3 or self.image.shape[0] != 3:
-            raise ShapeMismatch(f"image must be (3, H, W), got {self.image.shape}")
-        if abs(float(self.target.sum()) - 1.0) > 1e-6:
-            raise ValueError(f"target for {self.doc_id!r} does not sum to 1")
+        image, target = self.image, self.target
+        if image.ndim != 3 or image.shape[0] != 3:
+            raise ShapeMismatch(f"image must be (3, H, W), got {image.shape}")
+        # min and max propagate NaN, which then fails both comparisons
+        unit_floats = np.issubdtype(image.dtype, np.floating) and (
+            image.size == 0 or (image.min() >= 0.0 and image.max() <= 1.0))
+        if image.dtype != np.uint8 and not unit_floats:
+            raise ValueError(f"image for {self.doc_id!r} must be uint8, or floats in [0, 1]")
+        if not (finite_non_negative(target) and abs(float(target.sum()) - 1.0) <= 1e-6):
+            raise ValueError(f"target for {self.doc_id!r} is not a distribution (finite, >= 0, sum 1)")
 
 
 @dataclass(frozen=True)
@@ -108,7 +120,8 @@ def augment(image, cfg, sample_index):
 
     All randomness comes from (cfg.seed, sample_index), so the same sample
     index always produces the same view. Draw order is fixed: top offset,
-    left offset, mirror coin.
+    left offset, mirror coin. The view is a contiguous copy in the image's
+    own dtype (bytes stay bytes); _net_batch makes the float32 batch.
     """
     c, h, w = image.shape
     if cfg.crop_size > min(h, w):
@@ -120,6 +133,23 @@ def augment(image, cfg, sample_index):
     if rng.random() < cfg.mirror_prob:
         view = view[:, :, ::-1]
     return np.ascontiguousarray(view)
+
+
+# Byte v as float32 v / 255: the float64 quotient rounded once to float32,
+# as decoding to float64 and casting the batch would round it.
+_BYTE_TO_UNIT = (np.arange(256) / 255.0).astype(np.float32)
+
+
+def _net_batch(views):
+    """The net's float32 (B, 3, S, S) input from B (3, S, S) crops.
+
+    Byte crops map through a 256-entry table of v / 255; float crops, in
+    [0, 1], are cast. The batch is the only float copy of the pixels.
+    """
+    batch = np.stack(views)
+    if batch.dtype == np.uint8:
+        return _BYTE_TO_UNIT.take(batch)
+    return batch.astype(np.float32)
 
 
 def _epoch_permutation(seed, epoch, n):
@@ -184,7 +214,7 @@ def train(pairs, spec, sgd_cfg, aug_cfg, seed, *, start=None, checkpoint_every=N
     for iteration in range(start.iteration, sgd_cfg.max_iters):
         idx = [_pair_index(seed, n, iteration * batch + j, perm_cache) for j in range(batch)]
         views = [augment(pairs[i].image, aug_cfg, iteration * batch + j) for j, i in enumerate(idx)]
-        x = np.stack(views).astype(np.float32)
+        x = _net_batch(views)
         logits, cache = nn.forward(spec, params, x)
         loss, grad_logits = nn.sigmoid_cross_entropy(logits, targets[idx])
         if not np.isfinite(loss):
@@ -223,8 +253,7 @@ def predict_topics(checkpoint, image):
     corners = [((h - size) // 2, (w - size) // 2), (0, 0), (0, w - size), (h - size, 0), (h - size, w - size)]
     views = [_crop_at(image, top, left, size) for top, left in corners]
     views += [view[:, :, ::-1] for view in views]
-    x = np.ascontiguousarray(np.stack(views), dtype=np.float32)
-    logits, _ = nn.forward(spec, checkpoint.params, x)
+    logits, _ = nn.forward(spec, checkpoint.params, _net_batch(views))
     mean_act = nn.sigmoid(logits).mean(axis=0)
     return mean_act / mean_act.sum()
 
@@ -238,8 +267,7 @@ def extract_features(checkpoint, image, layer_name):
     if min(h, w) < size:
         raise CropTooLarge(f"image {h}x{w} smaller than net input {size}")
     view = _crop_at(image, (h - size) // 2, (w - size) // 2, size)
-    x = np.ascontiguousarray(view[None], dtype=np.float32)
-    _, cache = nn.forward(spec, checkpoint.params, x)
+    _, cache = nn.forward(spec, checkpoint.params, _net_batch([view]))
     return nn.layer_outputs(cache)[index].reshape(-1).copy()
 
 

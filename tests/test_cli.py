@@ -589,7 +589,7 @@ def test_time_net_step_script_runs():
     assert proc.returncode == 0, proc.stderr
     for name in nn.tiny_topic_net(3).layer_names():
         assert re.search(rf"^{name} +\d+\.\d{{3}} +\d+\.\d{{3}}$", proc.stdout, re.MULTILINE), name
-    for metric in ("step_ms", "minor_faults_per_step", "traced_peak_mib"):
+    for metric in ("step_ms", "minor_faults_per_step", "traced_peak_mib", "forward_peak_mib"):
         assert re.search(rf"^{metric} \d+\.\d+$", proc.stdout, re.MULTILINE), metric
 
 

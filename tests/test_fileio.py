@@ -144,12 +144,17 @@ def test_atomic_write_no_file_created_on_error(tmp_path):
 
 def test_ppm_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    image = np.round(rng.random((3, 5, 7)) * 255) / 255.0
+    levels = rng.integers(0, 256, size=(3, 5, 7), dtype=np.uint8)
     path = str(tmp_path / "img.ppm")
-    F.write_ppm(path, image)
+    F.write_ppm(path, levels / 255.0)
     loaded = F.read_ppm(path)
-    assert loaded.shape == (3, 5, 7)
-    np.testing.assert_allclose(loaded, image, atol=1e-12)
+    assert loaded.dtype == np.uint8 and loaded.shape == (3, 5, 7)
+    assert loaded.tobytes() == levels.tobytes()
+    # the bytes read_ppm returns write back unchanged
+    again = str(tmp_path / "again.ppm")
+    F.write_ppm(again, loaded)
+    with open(path, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_ppm_header_comments_and_whitespace(tmp_path):
@@ -159,8 +164,9 @@ def test_ppm_header_comments_and_whitespace(tmp_path):
     path = tmp_path / "odd.ppm"
     path.write_bytes(raw)
     image = F.read_ppm(str(path))
-    assert image.shape == (3, 1, 2)
-    assert image[0, 0, 0] == 1.0 and image[1, 0, 1] == 1.0
+    assert image.dtype == np.uint8 and image.shape == (3, 1, 2)
+    assert image[0, 0, 0] == 255 and image[1, 0, 1] == 255
+    assert image.tolist() == [[[255, 0]], [[0, 255]], [[0, 0]]]
 
 
 def test_ppm_rejects_other_maxval(tmp_path):

@@ -683,3 +683,66 @@ def test_train_step_memory_keeps_no_patch_matrix():
             padded = batch_size * c * (h + 2 * layer.pad) * (w + 2 * layer.pad) * batch.itemsize
             kept = [a for a in (local if isinstance(local, tuple) else (local,)) if isinstance(a, np.ndarray)]
             assert kept and max(a.nbytes for a in kept) <= padded
+
+
+def _one_gemm_conv_forward(x, layer, w, bias):
+    # The forward before it was sliced: one patch matrix and one GEMM for
+    # the whole batch.
+    k, s, p = layer.kernel, layer.stride, layer.pad
+    b, c, h, wd = x.shape
+    oh = (h + 2 * p - k) // s + 1
+    ow = (wd + 2 * p - k) // s + 1
+    xp = np.zeros((c, b, h + 2 * p, wd + 2 * p), dtype=x.dtype)
+    xp[:, :, p : p + h, p : p + wd] = x.transpose(1, 0, 2, 3)
+    out = w.reshape(layer.out_channels, -1) @ nn._patches(xp, layer, oh, ow)
+    out += bias[:, None]
+    return out.reshape(layer.out_channels, b, oh, ow).transpose(1, 0, 2, 3), xp
+
+
+# (layer, input (C, H, W), batch): the stock net's conv1 and conv2, and a
+# stride-2 conv, each at a batch that spans at least three slices.
+SLICED_CONV_CASES = {
+    "conv1": (nn.Conv2d(16, 3, pad=1), (3, 32, 32), 80),
+    "conv2": (nn.Conv2d(32, 3, pad=1), (16, 16, 16), 64),
+    "stride2": (nn.Conv2d(32, 3, stride=2, pad=1), (16, 48, 48), 30),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("case", sorted(SLICED_CONV_CASES))
+def test_sliced_conv_forward_equals_one_gemm(case, dtype):
+    layer, (c, h, w), batch_size = SLICED_CONV_CASES[case]
+    spec = nn.NetSpec(in_shape=(c, h, w), layers=(layer, nn.Flatten(), nn.Dense(2)))
+    (oc, oh, ow), *_ = spec.shapes()
+    per_slice = nn._PATCH_BUDGET // (c * layer.kernel**2 * oh * ow)
+    assert batch_size > 2 * per_slice >= 2
+    rng = np.random.default_rng(9)
+    weight = rng.standard_normal((oc, c, layer.kernel, layer.kernel)).astype(dtype)
+    bias = rng.standard_normal(oc).astype(dtype)
+    x = rng.standard_normal((batch_size, c, h, w)).astype(dtype)
+    out, xp = nn._conv_forward(x, layer, weight, bias)
+    want_out, want_xp = _one_gemm_conv_forward(x, layer, weight, bias)
+    assert _bits(out) == _bits(want_out)
+    assert _bits(xp) == _bits(want_xp)
+
+
+def test_forward_peaks_near_the_cache_it_returns():
+    # The forward builds its patch matrix a slice at a time, so beyond the
+    # cache it returns it holds no more than one slice's patches; one patch
+    # matrix for the whole batch peaked 5.4 MiB above the cache.
+    spec = nn.tiny_topic_net(3)
+    params = nn.init_params(spec, seed=0)
+    batch = np.random.default_rng(0).random((64,) + spec.in_shape, dtype=np.float32)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        logits, cache = nn.forward(spec, params, batch)  # held, so `kept` counts them
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak - kept <= 2 * 2**20, f"forward peaked {(peak - kept) / 2**20:.1f} MiB above its cache"
+    assert kept - base > 16 * 2**20  # the cache itself was counted

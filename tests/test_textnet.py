@@ -15,7 +15,7 @@ from ttn import corpus as corpus_mod
 from ttn import lda as lda_mod
 from ttn import nn, textnet
 from ttn.errors import CorruptFile, CropTooLarge, DataError, NoPairs, ShapeMismatch, UnknownLayer
-from ttn.fileio import MAGIC_NET, read_tensor_file, write_tensor_file
+from ttn.fileio import MAGIC_NET, read_ppm, read_tensor_file, write_tensor_file
 
 
 def _toy_pairs(n=12, k=3, size=36, seed=0):
@@ -71,7 +71,78 @@ def test_make_pairs_counts_and_targets(synth_dataset, small_model):
     for pair in pairs:
         assert np.array_equal(pair.target, model.doc_thetas[pair.doc_id])
         assert pair.image.shape == (3, cfg.image_size, cfg.image_size)
-        assert pair.image.min() >= 0.0 and pair.image.max() <= 1.0
+        assert pair.image.dtype == np.uint8  # values 0-255, the file's own bytes
+
+
+def test_make_pairs_stores_the_decoded_bytes(synth_dataset, small_model):
+    cfg, manifest = synth_dataset
+    docs, model = small_model
+    pairs = textnet.make_pairs(docs, model, manifest["out_dir"])
+    paths = [rel for doc in sorted(docs, key=lambda d: d.doc_id) for rel in doc.image_paths]
+    for pair, rel in zip(pairs, paths, strict=True):
+        assert pair.image.dtype == np.uint8 and pair.image.nbytes == 3 * cfg.image_size**2
+        assert np.array_equal(pair.image, read_ppm(os.path.join(manifest["out_dir"], rel)))
+
+
+def test_byte_and_float_images_give_the_same_net(synth_dataset, small_model):
+    # A decoded PPM and its float64 v / 255 twin, the image decoding used to
+    # give, must train, predict and extract features bit for bit alike.
+    cfg, manifest = synth_dataset
+    docs, model = small_model
+    pairs = textnet.make_pairs(docs, model, manifest["out_dir"])
+    twins = [dataclasses.replace(p, image=p.image / 255.0) for p in pairs]
+    spec = nn.tiny_topic_net(model.k)
+    sgd = nn.SgdConfig(base_lr=0.01, batch_size=64, max_iters=5)
+    aug = textnet.AugmentConfig(crop_size=32, seed=1)
+    trained, history = textnet.train(pairs, spec, sgd, aug, seed=3)
+    twin_trained, twin_history = textnet.train(twins, spec, sgd, aug, seed=3)
+    assert history == twin_history
+    assert nn.params_equal(trained.params, twin_trained.params)
+    for pair, twin in zip(pairs[:3], twins[:3]):
+        assert _bits(textnet.predict_topics(trained, pair.image)) == _bits(
+            textnet.predict_topics(trained, twin.image))
+        for layer in ("fc7", "pool5", "conv1"):
+            assert _bits(textnet.extract_features(trained, pair.image, layer)) == _bits(
+                textnet.extract_features(trained, twin.image, layer)), layer
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _pair(image=None, target=(0.25, 0.75)):
+    image = np.zeros((3, 4, 4), dtype=np.uint8) if image is None else image
+    return textnet.TrainingPair(image=image, target=np.asarray(target, dtype=np.float64), doc_id="d")
+
+
+@pytest.mark.parametrize(
+    "target",
+    [(np.nan, 0.5, 0.5), (2.0, -1.0, 0.0), (np.inf, -np.inf, 1.0), (1.5, -0.5)],
+    ids=["nan", "negative", "infinite", "negative-pair"],
+)
+def test_training_pair_rejects_a_target_off_the_simplex(target):
+    with pytest.raises(ValueError, match="not a distribution"):
+        _pair(target=target)
+
+
+@pytest.mark.parametrize(
+    "image",
+    [np.full((3, 4, 4), np.nan), np.full((3, 4, 4), 7.0), np.full((3, 4, 4), -0.5),
+     np.full((3, 4, 4), np.inf, dtype=np.float32), np.full((3, 4, 4), 200, dtype=np.int64),
+     np.ones((3, 4, 4), dtype=bool)],
+    ids=["nan", "above-one", "negative", "infinite", "int64", "bool"],
+)
+def test_training_pair_rejects_image_values(image):
+    with pytest.raises(ValueError, match="must be uint8, or floats in"):
+        _pair(image=image)
+
+
+def test_training_pair_accepts_bytes_and_unit_floats():
+    _pair(image=np.full((3, 4, 4), 255, dtype=np.uint8))
+    _pair(image=np.ones((3, 4, 4), dtype=np.float32), target=(0.5, 0.5 + 5e-7))
+    _pair(image=np.zeros((3, 4, 4)), target=(0.0, 1.0))
+    with pytest.raises(ShapeMismatch):
+        _pair(image=np.zeros((4, 4), dtype=np.uint8))
 
 
 def test_make_pairs_image_color_tracks_topic(synth_dataset, small_model):
