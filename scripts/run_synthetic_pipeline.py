@@ -19,12 +19,10 @@ import os
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from ttn.cli import main as ttn  # noqa: E402
-from ttn.evaluate import load_labels  # noqa: E402
+from ttn.evaluate import average_precision, load_labels, mean_ap  # noqa: E402
 
 
 def run(argv, label):
@@ -102,18 +100,13 @@ def main():
         out = os.path.join(work, "q.tsv")
         run(["query", index, "--text", item["word"], "--lda", model,
              "--top-n", str(len(heldout_topic)), "-o", out], f"query {item['word']}")
-        hits, precisions = 0, []
         with open(out, encoding="utf-8") as fh:
-            next(fh)
-            for line in fh:
-                rank, item_id, _ = line.rstrip("\n").split("\t")
-                if heldout_topic[item_id] == item["topic"]:
-                    hits += 1
-                    precisions.append(hits / int(rank))
-        aps.append(float(np.mean(precisions)) if precisions else 0.0)
+            rows = [line.rstrip("\n").split("\t") for line in fh][1:]
+        aps.append(average_precision([-float(dv) for _, _, dv in rows],
+                                     [heldout_topic[item_id] == item["topic"] for _, item_id, _ in rows]))
 
     print(f"\ntext->image retrieval over {len(aps)} planted queries: "
-          f"MAP = {float(np.mean(aps)):.3f}")
+          f"MAP = {mean_ap(aps):.3f}")
     print(f"held-out fc7 SVM mAP: trained = {trained_map:.3f}, random init = {random_map:.3f}")
 
 

@@ -6,9 +6,10 @@ length, a UTF-8 JSON header whose "shapes" field lists the tensor shapes, then
 raw little-endian float64 payloads in that order. Every writer goes through
 atomic_write so a crashed run never leaves a half-written artifact behind.
 
-Images are binary PPM (P6, maxval 255). A decoded image is the file's own
-bytes as a (3, H, W) uint8 array, an eighth of the float64 it would take;
-textnet turns the crops it feeds the net into float32 v / 255.
+Images are binary PPM (P6, maxval 255), and uint8 (3, H, W) bytes are the
+one in-memory image type: read_ppm returns the file's own bytes and
+write_ppm accepts nothing else. Only textnet's batch builder turns the crops
+it feeds the net into float32 v / 255.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 
 import numpy as np
@@ -108,6 +110,13 @@ def finite_non_negative(values):
     """Every value finite and >= 0. A NaN fails min() >= 0, since min and max
     propagate it, so two reductions check all three conditions."""
     return values.size == 0 or (values.min() >= 0.0 and values.max() < math.inf)
+
+
+def is_number(value):
+    """A JSON number that fits a float: an int or a float, never a bool
+    (which would pass as 0 or 1) or a numeric string. Header readers check
+    their numbers with this, or with type(value) is int for counts."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _finite_float(text):
@@ -233,19 +242,15 @@ def read_ppm(path):
 
 
 def write_ppm(path, image):
-    """Write a (3, H, W) image as binary PPM: uint8 bytes as they are, as
-    read_ppm returns them, or floats in [0, 1] (clipped) rounded to v * 255."""
+    """Write (3, H, W) uint8 bytes, as read_ppm returns them, as binary PPM.
+    Any other dtype or shape raises DataError."""
     image = np.asarray(image)
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise DataError(f"expected a (3, H, W) image, got shape {image.shape}")
-    if image.dtype == np.uint8:
-        pixels = image
-    else:
-        pixels = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
-    _, h, w = pixels.shape
+    if image.dtype != np.uint8 or image.ndim != 3 or image.shape[0] != 3:
+        raise DataError(f"expected a (3, H, W) uint8 image, got {image.dtype} of shape {image.shape}")
+    _, h, w = image.shape
     with atomic_write(path) as fh:
         fh.write(b"P6\n%d %d\n255\n" % (w, h))
-        fh.write(pixels.transpose(1, 2, 0).tobytes())
+        fh.write(image.transpose(1, 2, 0).tobytes())
 
 
 def decode_image(path):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .errors import CorruptFile, DataError, EmptyDocument
-from .fileio import MAGIC_LDA, finite_non_negative, read_tensor_file, string_list, write_tensor_file
+from .fileio import MAGIC_LDA, finite_non_negative, is_number, read_tensor_file, string_list, write_tensor_file
 
 # How far a row of phi or of the stored thetas may sum from 1. Rows the
 # sampler writes are off by a few ulps; a damaged or hand-made row is not.
@@ -492,10 +491,9 @@ def load_model(path):
         raise CorruptFile(f"{path}: invalid model header: {exc}")
     if any(type(getattr(hyper, name)) is not int for name in ("k", "n_iters", "infer_iters", "seed")):
         raise CorruptFile(f"{path}: model header k, n_iters, infer_iters and seed must be integers")
-    # JSON numbers only: a bool would pass as 0 or 1, and an int past the
-    # float range would fail only once folding in converts it.
+    # An int past the float range would fail only once folding in converts it.
     priors = [hyper.beta_prior] if hyper.alpha is None else [hyper.alpha, hyper.beta_prior]
-    if any(type(v) not in (int, float) or v > sys.float_info.max for v in priors):
+    if not all(map(is_number, priors)):
         raise CorruptFile(f"{path}: model header alpha (or null) and beta_prior must be finite numbers")
     if len(arrays) != 2 or arrays[0].ndim != 2 or arrays[0].shape[1] != len(words) or not arrays[0].size:
         raise CorruptFile(f"{path}: phi is not a nonempty (k, V) matrix over the header word list")

@@ -32,7 +32,7 @@ from .errors import (
     EmptyDocument,
     EmptyModality,
 )
-from .fileio import MAGIC_INDEX, finite_non_negative, read_tensor_file, string_list, write_tensor_file
+from .fileio import MAGIC_INDEX, finite_non_negative, is_number, read_tensor_file, string_list, write_tensor_file
 
 MODALITIES = ("text", "image")
 
@@ -356,12 +356,10 @@ def load_index(path):
     ids = tuple(string_list(header, "ids"))
     modalities = tuple(string_list(header, "modalities"))
     payload_refs = tuple(string_list(header, "payload_refs"))
-    try:
-        epsilon = float(header["epsilon"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CorruptFile(f"{path}: invalid index header: {exc}")
-    if epsilon < 0:
-        raise CorruptFile(f"{path}: negative epsilon {epsilon}")
+    epsilon = header.get("epsilon")
+    if not is_number(epsilon) or epsilon < 0:
+        raise CorruptFile(f"{path}: index epsilon must be a non-negative number, got {epsilon!r}")
+    epsilon = float(epsilon)
     if not set(modalities) <= set(MODALITIES):
         raise CorruptFile(f"{path}: unknown modality in {sorted(set(modalities))}")
     if len(arrays) != 1 or arrays[0].ndim != 2:

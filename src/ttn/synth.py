@@ -97,13 +97,14 @@ def _draw_shape(image, topic, rng, size):
 
 
 def render_image(topic, rng, size):
-    """A noisy background washed with the topic color, plus the topic shape."""
+    """A noisy background washed with the topic color, plus the topic shape,
+    as (3, size, size) uint8 bytes: intensities in [0, 1] rounded to v * 255."""
     if not 0 <= topic < N_SIGNATURES:
         raise ValueError(f"topic {topic} has no visual signature; images exist for topics 0-{N_SIGNATURES - 1}")
     image = rng.uniform(0.15, 0.35, size=(3, size, size))
     image[topic % 3] += 0.35
     _draw_shape(image, topic, rng, size)
-    return np.clip(image, 0.0, 1.0)
+    return np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
 def make_documents(cfg):

@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteLoss,
     ShapeMismatch,
 )
-from .fileio import MAGIC_NET, decode_image, finite_non_negative, read_tensor_file, write_tensor_file
+from .fileio import MAGIC_NET, decode_image, finite_non_negative, is_number, read_tensor_file, write_tensor_file
 
 log = logging.getLogger(__name__)
 
@@ -39,10 +39,10 @@ log = logging.getLogger(__name__)
 class TrainingPair:
     """One training example: a stored image and its soft topic target.
 
-    The image is (3, H, W): uint8 bytes as decode_image returns them, or
-    floats in [0, 1] (a rendered image). The target is a distribution:
-    finite, non-negative and summing to 1 within 1e-6. A wrong image shape
-    raises ShapeMismatch; any other image or target raises ValueError.
+    The image is (3, H, W) uint8 bytes, as decode_image returns them. The
+    target is a distribution: finite, non-negative and summing to 1 within
+    1e-6. A wrong image shape raises ShapeMismatch; an image of another dtype
+    or a target off the simplex raises ValueError.
     """
 
     image: np.ndarray
@@ -53,11 +53,8 @@ class TrainingPair:
         image, target = self.image, self.target
         if image.ndim != 3 or image.shape[0] != 3:
             raise ShapeMismatch(f"image must be (3, H, W), got {image.shape}")
-        # min and max propagate NaN, which then fails both comparisons
-        unit_floats = np.issubdtype(image.dtype, np.floating) and (
-            image.size == 0 or (image.min() >= 0.0 and image.max() <= 1.0))
-        if image.dtype != np.uint8 and not unit_floats:
-            raise ValueError(f"image for {self.doc_id!r} must be uint8, or floats in [0, 1]")
+        if image.dtype != np.uint8:
+            raise ValueError(f"image for {self.doc_id!r} must be uint8, got {image.dtype}")
         if not (finite_non_negative(target) and abs(float(target.sum()) - 1.0) <= 1e-6):
             raise ValueError(f"target for {self.doc_id!r} is not a distribution (finite, >= 0, sum 1)")
 
@@ -120,8 +117,8 @@ def augment(image, cfg, sample_index):
 
     All randomness comes from (cfg.seed, sample_index), so the same sample
     index always produces the same view. Draw order is fixed: top offset,
-    left offset, mirror coin. The view is a contiguous copy in the image's
-    own dtype (bytes stay bytes); _net_batch makes the float32 batch.
+    left offset, mirror coin. The view is a contiguous uint8 copy;
+    _net_batch makes the float32 batch.
     """
     c, h, w = image.shape
     if cfg.crop_size > min(h, w):
@@ -135,21 +132,18 @@ def augment(image, cfg, sample_index):
     return np.ascontiguousarray(view)
 
 
-# Byte v as float32 v / 255: the float64 quotient rounded once to float32,
-# as decoding to float64 and casting the batch would round it.
-_BYTE_TO_UNIT = (np.arange(256) / 255.0).astype(np.float32)
-
-
 def _net_batch(views):
-    """The net's float32 (B, 3, S, S) input from B (3, S, S) crops.
+    """The net's float32 (B, 3, S, S) input from B (3, S, S) uint8 crops.
 
-    Byte crops map through a 256-entry table of v / 255; float crops, in
-    [0, 1], are cast. The batch is the only float copy of the pixels.
+    Byte v becomes v / 255, the float64 quotient rounded once to float32,
+    written straight into the batch: the one float copy of the pixels. Crops
+    of any other dtype raise DataError.
     """
     batch = np.stack(views)
-    if batch.dtype == np.uint8:
-        return _BYTE_TO_UNIT.take(batch)
-    return batch.astype(np.float32)
+    if batch.dtype != np.uint8:
+        raise DataError(f"the net takes uint8 images, got {batch.dtype}")
+    out = np.empty(batch.shape, dtype=np.float32)
+    return np.divide(batch, 255.0, dtype=np.float64, out=out, casting="same_kind")
 
 
 def _epoch_permutation(seed, epoch, n):
@@ -243,7 +237,8 @@ def predict_topics(checkpoint, image):
 
     The ten views are the center crop and the four corner crops, then the
     same five mirrored, in that order. The averaged activations are
-    renormalized to sum to one in float64.
+    renormalized to sum to one in float64. The image is (3, H, W) uint8
+    bytes; any other dtype raises DataError.
     """
     spec = checkpoint.spec
     size = spec.in_shape[1]
@@ -259,7 +254,8 @@ def predict_topics(checkpoint, image):
 
 
 def extract_features(checkpoint, image, layer_name):
-    """Flattened activation of a named layer for the center crop of an image."""
+    """Flattened activation of a named layer for the center crop of a
+    (3, H, W) uint8 image; any other dtype raises DataError."""
     spec = checkpoint.spec
     index = spec.resolve_layer(layer_name)
     size = spec.in_shape[1]
@@ -317,11 +313,19 @@ def load_checkpoint(path):
     try:
         spec = nn.NetSpec.from_dict(header["spec"])
         sgd_cfg = nn.SgdConfig(**header["sgd"])
-        iteration = int(header["iteration"])
-        seed = int(header.get("seed", 0))
-        lda_model_hash = str(header.get("lda_model_hash", ""))
+        iteration = header["iteration"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"{path}: invalid checkpoint header: {exc}")
+    seed = header.get("seed", 0)
+    lda_model_hash = header.get("lda_model_hash", "")
+    counts = (iteration, seed, sgd_cfg.lr_step, sgd_cfg.batch_size, sgd_cfg.max_iters)
+    if any(type(v) is not int for v in counts) or iteration < 0:
+        raise CorruptFile(f"{path}: checkpoint iteration (>= 0), seed and sgd lr_step, batch_size and max_iters"
+                          " must be integers")
+    if not all(map(is_number, (sgd_cfg.base_lr, sgd_cfg.lr_decay, sgd_cfg.momentum))):
+        raise CorruptFile(f"{path}: checkpoint sgd base_lr, lr_decay and momentum must be numbers")
+    if type(lda_model_hash) is not str:
+        raise CorruptFile(f"{path}: checkpoint lda_model_hash must be a string")
     shapes = nn.param_shapes(spec)
     expected = [s for layer in shapes if layer is not None for s in layer + layer]
     if [a.shape for a in arrays] != expected:

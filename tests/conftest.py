@@ -10,7 +10,6 @@ import os
 import time
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from ttn import corpus as corpus_mod
@@ -152,20 +151,3 @@ def pipeline_run(tmp_path_factory):
 def pipeline_rerun(tmp_path_factory):
     """Second, independent run with identical seeds, for determinism checks."""
     return _run_pipeline(str(tmp_path_factory.mktemp("pipeline_b")))
-
-
-def map_of_rankings(rankings, relevant_fn):
-    """Mean AP over ranked lists, where relevant_fn(query, item_id) marks hits."""
-    aps = []
-    for querykey, ranked in rankings.items():
-        hits = 0
-        precisions = []
-        for rank, (item_id, _) in enumerate(ranked, start=1):
-            if relevant_fn(querykey, item_id):
-                hits += 1
-                precisions.append(hits / rank)
-        if precisions:
-            aps.append(float(np.mean(precisions)))
-        else:
-            aps.append(0.0)
-    return float(np.mean(aps))

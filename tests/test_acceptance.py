@@ -21,8 +21,6 @@ import pytest
 from ttn import corpus, evaluate, lda, nn, retrieval, synth
 from ttn.cli import main as cli_main
 
-from conftest import map_of_rankings
-
 
 def _verdict(number, ok, detail):
     print(f"acceptance {number:02d}: {'PASS' if ok else 'FAIL'} {detail}")
@@ -243,9 +241,12 @@ def test_acceptance_06_end_to_end_self_supervision(pipeline_run):
     heldout_acc = hits / len(run.heldout_thetas)
 
     query_topic = {q["word"]: q["topic"] for q in run.manifest["queries"]}
-    retrieval_map = map_of_rankings(
-        run.text_rankings,
-        lambda word, item_id: run.heldout_labels[item_id] == query_topic[word],
+    retrieval_map = evaluate.mean_ap(
+        evaluate.average_precision(
+            [-divergence for _, divergence in ranked],
+            [run.heldout_labels[item_id] == query_topic[word] for item_id, _ in ranked],
+        )
+        for word, ranked in run.text_rankings.items()
     )
 
     elapsed = sum(run.timings.values())

@@ -77,7 +77,7 @@ KINDS = {
         evaluate.load_features,
     ),
     "ppm": (
-        lambda path: fileio.write_ppm(path, np.random.default_rng(2).random((3, 4, 5))),
+        lambda path: fileio.write_ppm(path, np.rint(np.random.default_rng(2).random((3, 4, 5)) * 255).astype(np.uint8)),
         fileio.read_ppm,
     ),
     "corpus": (lambda path: corpus.save_corpus(_corpus(), path), corpus.load_corpus),
@@ -184,10 +184,22 @@ def test_previous_format_version_rejected(valid_files, kind, old_magic):
         ("model", b'"beta_prior":0.01', b'"beta_prior":true'),
         ("model", b'"alpha":null', b'"alpha":"0.5"'),
         ("model", b'"alpha":null', b'"alpha":' + b"9" * 400),
+        ("checkpoint", b'"iteration":7', b'"iteration":"7"'),
+        ("checkpoint", b'"iteration":7', b'"iteration":7.9'),
+        ("checkpoint", b'"iteration":7', b'"iteration":true'),
+        ("checkpoint", b'"iteration":7', b'"iteration":-5'),
+        ("checkpoint", b'"seed":0', b'"seed":"3"'),
+        ("checkpoint", b'"seed":0', b'"seed":2.5'),
+        ("checkpoint", b'"lda_model_hash":"ab12"', b'"lda_model_hash":12'),
+        ("checkpoint", b'"batch_size":64', b'"batch_size":true'),
+        ("index", b'"epsilon":1e-10', b'"epsilon":true'),
+        ("index", b'"epsilon":1e-10', b'"epsilon":"0.5"'),
     ],
     ids=["iteration-overflow", "nan-epsilon", "int-epsilon-overflow", "negative-epsilon",
          "float-infer-iters", "bool-seed", "k-not-phi-rows", "bool-alpha", "bool-beta-prior",
-         "string-alpha", "int-alpha-overflow"],
+         "string-alpha", "int-alpha-overflow", "string-iteration", "float-iteration", "bool-iteration",
+         "negative-iteration", "string-seed", "float-seed", "int-lda-model-hash", "bool-batch-size",
+         "bool-epsilon", "string-epsilon"],
 )
 def test_out_of_range_header_numbers_rejected(valid_files, kind, field, value):
     path = _rewrite_header(valid_files, kind, field, value)

@@ -593,6 +593,20 @@ def test_time_net_step_script_runs():
         assert re.search(rf"^{metric} \d+\.\d+$", proc.stdout, re.MULTILINE), metric
 
 
+def test_time_lda_script_runs():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "time_lda.py")
+    proc = subprocess.run([sys.executable, script, "--docs", "20", "--sweeps", "11", "--heldout", "5"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for k in (3, 40):
+        for sweeps in ("1-5", "11-11"):
+            assert re.search(rf"^ *{k} +{sweeps} +\d+ +[01]\.\d{{3}}$", proc.stdout, re.MULTILINE), (k, sweeps)
+    fold_in = re.search(r"^fold_in k=40, 5 held-out docs, infer_iters 50: \d+ us/doc; "
+                        r"fixed point (\d+), 2-cycle (\d+), cap (\d+)$", proc.stdout, re.MULTILINE)
+    assert fold_in, proc.stdout
+    assert sum(map(int, fold_in.groups())) == 5
+
+
 def test_time_query_script_runs():
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "time_query.py")
     proc = subprocess.run([sys.executable, script, "--entries", "200", "--queries", "2"],

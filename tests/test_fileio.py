@@ -146,7 +146,7 @@ def test_ppm_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     levels = rng.integers(0, 256, size=(3, 5, 7), dtype=np.uint8)
     path = str(tmp_path / "img.ppm")
-    F.write_ppm(path, levels / 255.0)
+    F.write_ppm(path, levels)
     loaded = F.read_ppm(path)
     assert loaded.dtype == np.uint8 and loaded.shape == (3, 5, 7)
     assert loaded.tobytes() == levels.tobytes()
@@ -155,6 +155,20 @@ def test_ppm_roundtrip(tmp_path):
     F.write_ppm(again, loaded)
     with open(path, "rb") as a, open(again, "rb") as b:
         assert a.read() == b.read()
+
+
+@pytest.mark.parametrize(
+    "image",
+    [np.full((3, 2, 2), np.nan), np.full((3, 2, 2), 3, dtype=np.int64), np.full((3, 2, 2), 0.5)],
+    ids=["nan", "int64", "unit-float"],
+)
+def test_write_ppm_refuses_images_that_are_not_bytes(tmp_path, image):
+    # Bytes are the one image type: a float or wider int image is refused,
+    # never clipped or wrapped into pixels.
+    path = tmp_path / "img.ppm"
+    with pytest.raises(DataError, match="uint8"):
+        F.write_ppm(str(path), image)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ppm_header_comments_and_whitespace(tmp_path):
@@ -203,8 +217,8 @@ def test_ppm_rejects_bad_size_before_reading(tmp_path, header):
 
 
 def test_decode_image_dispatches_on_extension(tmp_path):
-    image = np.zeros((3, 2, 2))
-    image[0] = 1.0
+    image = np.zeros((3, 2, 2), dtype=np.uint8)
+    image[0] = 255
     path = str(tmp_path / "img.ppm")
     F.write_ppm(path, image)
     assert np.array_equal(F.decode_image(path), F.read_ppm(path))

@@ -461,7 +461,7 @@ def test_embed_image_matches_predict_topics():
     checkpoint = textnet.Checkpoint(
         spec=spec, params=nn.init_params(spec, seed=4), iteration=0, sgd=nn.SgdConfig()
     )
-    image = np.random.default_rng(5).random((3, 10, 10))
+    image = np.random.default_rng(5).integers(0, 256, size=(3, 10, 10), dtype=np.uint8)
     np.testing.assert_array_equal(
         retrieval.embed_image(image, checkpoint),
         textnet.predict_topics(checkpoint, image),

@@ -11,7 +11,7 @@ import pytest
 
 from ttn import synth
 from ttn.corpus import load_corpus, normalize, tokenize
-from ttn.fileio import read_ppm
+from ttn.fileio import decode_image, read_ppm
 
 
 def test_topic_vocabularies_disjoint_and_pipeline_stable():
@@ -150,3 +150,22 @@ def test_each_topic_has_its_own_signature(tmp_path):
     with pytest.raises(ValueError, match="at most 9 topics"):
         synth.write_dataset(synth.SynthConfig(n_topics=10, docs_per_topic=1), str(tmp_path / "ten"))
     assert not (tmp_path / "ten").exists()  # refused before anything is written
+
+
+def test_render_image_is_the_bytes_the_dataset_stores(synth_dataset):
+    # write_dataset draws training images from (seed, 1) in document order
+    # and held-out ones from (seed, 2), topic by topic; each PPM holds
+    # render_image's bytes as they are.
+    cfg, manifest = synth_dataset
+    rendered = []
+    rng = np.random.default_rng((cfg.seed, 1))
+    for doc in load_corpus(manifest["corpus"]):
+        topic = manifest["doc_labels"][doc.doc_id]
+        rendered += [(rel, synth.render_image(topic, rng, cfg.image_size)) for rel in doc.image_paths]
+    rng = np.random.default_rng((cfg.seed, 2))
+    rendered += [(h["path"], synth.render_image(h["topic"], rng, cfg.image_size)) for h in manifest["held_out"]]
+    assert len(rendered) == len(manifest["image_labels"])
+    for rel, image in rendered:
+        stored = decode_image(os.path.join(manifest["out_dir"], rel))
+        assert image.dtype == stored.dtype == np.uint8, rel
+        assert np.array_equal(image, stored), rel

@@ -25,11 +25,16 @@ def _toy_pairs(n=12, k=3, size=36, seed=0):
         topic = i % k
         image = rng.random((3, size, size)) * 0.2
         image[topic % 3] += 0.6
+        image = np.rint(np.clip(image, 0, 1) * 255).astype(np.uint8)  # rounded as render_image rounds
         target = np.full(k, 0.05 / (k - 1))
         target[topic] = 0.95
         target = target / target.sum()
-        pairs.append(textnet.TrainingPair(image=np.clip(image, 0, 1), target=target, doc_id=f"t{i:03d}"))
+        pairs.append(textnet.TrainingPair(image=image, target=target, doc_id=f"t{i:03d}"))
     return pairs
+
+
+def _random_bytes(seed, shape):
+    return np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
 
 
 def _toy_spec(k=3, side=32):
@@ -84,26 +89,36 @@ def test_make_pairs_stores_the_decoded_bytes(synth_dataset, small_model):
         assert np.array_equal(pair.image, read_ppm(os.path.join(manifest["out_dir"], rel)))
 
 
-def test_byte_and_float_images_give_the_same_net(synth_dataset, small_model):
-    # A decoded PPM and its float64 v / 255 twin, the image decoding used to
-    # give, must train, predict and extract features bit for bit alike.
-    cfg, manifest = synth_dataset
-    docs, model = small_model
-    pairs = textnet.make_pairs(docs, model, manifest["out_dir"])
-    twins = [dataclasses.replace(p, image=p.image / 255.0) for p in pairs]
-    spec = nn.tiny_topic_net(model.k)
-    sgd = nn.SgdConfig(base_lr=0.01, batch_size=64, max_iters=5)
-    aug = textnet.AugmentConfig(crop_size=32, seed=1)
-    trained, history = textnet.train(pairs, spec, sgd, aug, seed=3)
-    twin_trained, twin_history = textnet.train(twins, spec, sgd, aug, seed=3)
-    assert history == twin_history
-    assert nn.params_equal(trained.params, twin_trained.params)
-    for pair, twin in zip(pairs[:3], twins[:3]):
-        assert _bits(textnet.predict_topics(trained, pair.image)) == _bits(
-            textnet.predict_topics(trained, twin.image))
-        for layer in ("fc7", "pool5", "conv1"):
-            assert _bits(textnet.extract_features(trained, pair.image, layer)) == _bits(
-                textnet.extract_features(trained, twin.image, layer)), layer
+def test_net_batch_is_bytes_over_255_for_every_entry_point():
+    # Every byte value v enters the net as float32(v / 255.0), the float64
+    # quotient rounded once, and predict_topics and extract_features forward
+    # exactly that batch.
+    image = (np.arange(3 * 32 * 32) % 256).astype(np.uint8).reshape(3, 32, 32)
+    batch = textnet._net_batch([image])
+    unit = (np.arange(256) / 255.0).astype(np.float32)
+    assert _bits(batch) == _bits(unit[image][None])
+    spec = nn.tiny_topic_net(3)
+    trained, _ = textnet.train(_toy_pairs(), spec, nn.SgdConfig(batch_size=4, max_iters=5), AUG32, seed=3)
+    # a 32x32 image is its own center and corner crop
+    ten = np.ascontiguousarray(np.concatenate([batch] * 5 + [batch[:, :, :, ::-1]] * 5))
+    logits, _ = nn.forward(spec, trained.params, ten)
+    mean_act = nn.sigmoid(logits).mean(axis=0)
+    assert _bits(textnet.predict_topics(trained, image)) == _bits(mean_act / mean_act.sum())
+    _, cache = nn.forward(spec, trained.params, batch)
+    for layer in ("fc7", "pool5", "conv1"):
+        expected = nn.layer_outputs(cache)[spec.resolve_layer(layer)].reshape(-1)
+        assert _bits(textnet.extract_features(trained, image, layer)) == _bits(expected), layer
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_net_refuses_images_that_are_not_bytes(dtype):
+    # A wider copy of a byte image would enter the net 255 times too bright.
+    checkpoint = _zero_head_checkpoint(side=8)
+    image = _random_bytes(0, (3, 10, 10)).astype(dtype)
+    with pytest.raises(DataError, match="uint8"):
+        textnet.predict_topics(checkpoint, image)
+    with pytest.raises(DataError, match="uint8"):
+        textnet.extract_features(checkpoint, image, "conv1")
 
 
 def _bits(a):
@@ -129,18 +144,18 @@ def test_training_pair_rejects_a_target_off_the_simplex(target):
     "image",
     [np.full((3, 4, 4), np.nan), np.full((3, 4, 4), 7.0), np.full((3, 4, 4), -0.5),
      np.full((3, 4, 4), np.inf, dtype=np.float32), np.full((3, 4, 4), 200, dtype=np.int64),
-     np.ones((3, 4, 4), dtype=bool)],
-    ids=["nan", "above-one", "negative", "infinite", "int64", "bool"],
+     np.ones((3, 4, 4), dtype=bool), np.full((3, 4, 4), 0.5)],
+    ids=["nan", "above-one", "negative", "infinite", "int64", "bool", "unit-float"],
 )
 def test_training_pair_rejects_image_values(image):
-    with pytest.raises(ValueError, match="must be uint8, or floats in"):
+    with pytest.raises(ValueError, match="must be uint8"):
         _pair(image=image)
 
 
-def test_training_pair_accepts_bytes_and_unit_floats():
+def test_training_pair_accepts_bytes():
     _pair(image=np.full((3, 4, 4), 255, dtype=np.uint8))
-    _pair(image=np.ones((3, 4, 4), dtype=np.float32), target=(0.5, 0.5 + 5e-7))
-    _pair(image=np.zeros((3, 4, 4)), target=(0.0, 1.0))
+    _pair(image=np.ones((3, 4, 4), dtype=np.uint8), target=(0.5, 0.5 + 5e-7))
+    _pair(image=np.zeros((3, 4, 4), dtype=np.uint8), target=(0.0, 1.0))
     with pytest.raises(ShapeMismatch):
         _pair(image=np.zeros((4, 4), dtype=np.uint8))
 
@@ -514,7 +529,7 @@ def _zero_head_checkpoint(k=4, side=8):
 
 def test_predict_topics_uniform_for_zero_head():
     checkpoint = _zero_head_checkpoint(k=4)
-    image = np.random.default_rng(0).random((3, 12, 12))
+    image = _random_bytes(0, (3, 12, 12))
     theta = textnet.predict_topics(checkpoint, image)
     np.testing.assert_allclose(theta, 0.25, rtol=1e-12)
 
@@ -524,15 +539,15 @@ def test_predict_topics_simplex_and_crop_count():
     view's sigmoid outputs, forwarded alone, average to the prediction."""
     pairs = _toy_pairs()
     checkpoint, _ = textnet.train(pairs, _toy_spec(), FAST_SGD, AUG32, seed=0)
-    image = np.random.default_rng(1).random((3, 36, 36))
+    image = _random_bytes(1, (3, 36, 36))
     theta = textnet.predict_topics(checkpoint, image)
     assert theta.shape == (3,)
     assert theta.sum() == pytest.approx(1.0)
     assert np.all(theta > 0)
     views = [image[:, top : top + 32, left : left + 32] for top, left in ((2, 2), (0, 0), (0, 4), (4, 0), (4, 4))]
     views += [view[:, :, ::-1] for view in views]
-    outputs = [nn.sigmoid(nn.forward(checkpoint.spec, checkpoint.params, v[None].astype(np.float32))[0])[0]
-               for v in views]
+    batches = [(v[None] / 255.0).astype(np.float32) for v in views]
+    outputs = [nn.sigmoid(nn.forward(checkpoint.spec, checkpoint.params, x)[0])[0] for x in batches]
     expected = np.mean(outputs, axis=0, dtype=np.float64)
     np.testing.assert_allclose(theta, expected / expected.sum(), rtol=1e-6)
 
@@ -540,7 +555,7 @@ def test_predict_topics_simplex_and_crop_count():
 def test_predict_topics_rejects_small_image():
     checkpoint = _zero_head_checkpoint(side=8)
     with pytest.raises(CropTooLarge):
-        textnet.predict_topics(checkpoint, np.zeros((3, 6, 6)))
+        textnet.predict_topics(checkpoint, np.zeros((3, 6, 6), dtype=np.uint8))
 
 
 def test_extract_features_shapes_and_consistency():
@@ -548,13 +563,13 @@ def test_extract_features_shapes_and_consistency():
     spec = nn.tiny_topic_net(3, in_shape=(3, 32, 32))
     cfg = nn.SgdConfig(base_lr=0.01, batch_size=4, max_iters=10)
     checkpoint, _ = textnet.train(pairs, spec, cfg, AUG32, seed=0)
-    image = np.random.default_rng(4).random((3, 32, 32))
+    image = _random_bytes(4, (3, 32, 32))
     pool = textnet.extract_features(checkpoint, image, "pool5")
     fc = textnet.extract_features(checkpoint, image, "fc7")
     logits_vec = textnet.extract_features(checkpoint, image, "fc2")
     assert pool.shape == (32 * 8 * 8,)
     assert fc.shape == (128,)
-    logits, _ = nn.forward(spec, checkpoint.params, image[None].astype(np.float32))
+    logits, _ = nn.forward(spec, checkpoint.params, (image[None] / 255.0).astype(np.float32))
     np.testing.assert_allclose(logits_vec, logits[0], rtol=1e-12)
     with pytest.raises(UnknownLayer):
         textnet.extract_features(checkpoint, image, "pool9")
