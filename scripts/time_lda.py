@@ -6,8 +6,9 @@ Builds a seeded corpus shaped like the benchmark's topics-k40 workload
 each at K=3 and K=40 on one BLAS thread, and prints ns per token-sweep and
 the share of draws that keep their topic, for sweeps 1-5 and for the settled
 sweeps (11 onwards). Then it folds held-out documents into a K=40 model and
-prints the mean fold-in time per document and how many of the documents
-stopped at a fixed point, in a 2-cycle or at the infer_iters cap.
+prints the mean fold-in time per document, the median and maximum number of
+iterations after which fold-in stopped, and how many documents ran to the
+infer_iters cap instead.
 
     python3 scripts/time_lda.py --docs 400 --sweeps 30
 """
@@ -65,18 +66,18 @@ def time_chain(bows, k, vocab_size, sweeps, seed):
     return seconds, kept, total
 
 
-def fold_in_ending(lik, n, alpha, max_iters):
-    """How fold_in's iterates end within max_iters: "fixed", "cycle" or "cap".
-
-    fold_in(..., j) returns the j-th iterate, so the iterates are read from
-    fold_in itself."""
-    iterates = [lda.fold_in(lik, n, alpha, j) for j in range(max_iters + 1)]
-    for j in range(max_iters):
-        if np.array_equal(iterates[j + 1], iterates[j]):
-            return "fixed"
-        if j and np.array_equal(iterates[j + 1], iterates[j - 1]):
-            return "cycle"
-    return "cap"
+def fold_in_stop(lik, n, alpha, max_iters):
+    """The number of iterations after which fold_in stops, or None if
+    max_iters cuts it short: the least j at which a cap of j + 1 returns what
+    a cap of j does. fold_in(..., j) returns the j-th iterate unless it
+    stopped earlier, so the iterates are read from fold_in itself."""
+    gamma = lda.fold_in(lik, n, alpha, 0)
+    for j in range(max_iters + 1):
+        new = lda.fold_in(lik, n, alpha, j + 1)
+        if np.array_equal(new, gamma):
+            return j
+        gamma = new
+    return None
 
 
 def main(argv=None):
@@ -110,14 +111,15 @@ def main(argv=None):
     for bow in held_bows:
         lda.infer(bow, model)
     per_doc = (time.perf_counter() - t0) / len(held_bows)
-    endings = {"fixed": 0, "cycle": 0, "cap": 0}
+    stops = []
     for bow in held_bows:
         word_ids = sorted(bow.counts)
         n = np.array([[bow.counts[w]] for w in word_ids], dtype=np.float64)
-        endings[fold_in_ending(model.phi[:, word_ids].T, n, hyper.effective_alpha, hyper.infer_iters)] += 1
+        stops.append(fold_in_stop(model.phi[:, word_ids].T, n, hyper.effective_alpha, hyper.infer_iters))
+    stopped = [j for j in stops if j is not None]
+    spread = f"median {statistics.median(stopped):g}, max {max(stopped)}" if stopped else "median -, max -"
     print(f"fold_in k=40, {len(held_bows)} held-out docs, infer_iters {hyper.infer_iters}: "
-          f"{per_doc * 1e6:.0f} us/doc; fixed point {endings['fixed']}, "
-          f"2-cycle {endings['cycle']}, cap {endings['cap']}")
+          f"{per_doc * 1e6:.0f} us/doc; stopped {len(stopped)} ({spread} iterations), cap {len(stops) - len(stopped)}")
 
 
 if __name__ == "__main__":

@@ -406,6 +406,8 @@ def cmd_eval_sweep(args):
 
 
 def build_parser():
+    infer_iters_help = (f"cap on fold-in iterations; fold-in stops sooner once an iteration moves "
+                        f"no entry of its responsibilities by more than {lda_mod._FOLD_IN_TOL:g}")
     parser = argparse.ArgumentParser(
         prog="ttn",
         description="Topic-supervised visual features at desk scale: train an LDA "
@@ -447,7 +449,7 @@ def build_parser():
     p.add_argument("-a", "--alpha", type=float, default=None, help="doc-topic prior (default 50/k)")
     p.add_argument("-b", "--beta", type=float, default=0.01, help="topic-word prior")
     p.add_argument("--iters", type=int, default=200, help="Gibbs sweeps")
-    p.add_argument("--infer-iters", type=int, default=50)
+    p.add_argument("--infer-iters", type=int, default=50, help=infer_iters_help)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_lda_train)
 
@@ -552,7 +554,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=0.01)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--infer-iters", type=int, default=30)
+    p.add_argument("--infer-iters", type=int, default=30, help=infer_iters_help)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_eval_sweep)

@@ -18,12 +18,13 @@ Where windows share no input (stride >= window) each input has one writer,
 so the masked gradient is written, not added, and one final += 0.0 turns
 each -0.0 into the +0.0 that adding it to zeros gives. layer_forward and
 layer_backward run one layer; forward and backward loop over them. Backward
-passes are exact reverse-mode gradients, checkable against central finite
-differences via gradient_check(). The net runs in float32, as Caffe's
+passes are exact reverse-mode gradients, which tests/gradcheck.py checks
+against central finite differences. The net runs in float32, as Caffe's
 blobs do: init_params returns float32 tensors, and the loss returns its
 gradient in the logits' dtype so backward keeps it. The kernels keep the
 dtype they are given; the kernel tests check both precisions against a
-reference implementation, and gradient_check runs on float64 copies.
+reference implementation, and the finite-difference check runs on
+float64 copies.
 """
 
 from __future__ import annotations
@@ -543,53 +544,3 @@ def sgd_step(params, grads, cfg, iteration):
         p.bias_momentum -= lr * db
         p.bias += p.bias_momentum
     return params
-
-
-def gradient_check(spec, params, batch, targets, epsilon=1e-5, max_checks_per_tensor=None, seed=0):
-    """Compare backward() against central finite differences of the
-    sigmoid cross-entropy.
-
-    Returns the maximum relative error over all checked parameter entries,
-    where rel(a, n) = |a - n| / max(|a|, |n|, 1e-3). The floor keeps finite-
-    difference roundoff from dominating near-zero gradients. Set
-    max_checks_per_tensor to sample large tensors instead of sweeping them.
-    It runs on float64 copies of params and batch: a float32 loss could not
-    resolve an epsilon-sized step.
-    """
-    params = [None if p is None else LayerParams(*(t.astype(np.float64) for t in (
-        p.weight, p.bias, p.weight_momentum, p.bias_momentum))) for p in params]
-    batch = np.asarray(batch, dtype=np.float64)
-
-    def eval_loss():
-        logits, _ = forward(spec, params, batch)
-        value, _ = sigmoid_cross_entropy(logits, targets)
-        return value
-
-    logits, cache = forward(spec, params, batch)
-    _, grad_logits = sigmoid_cross_entropy(logits, targets)
-    grads = backward(spec, params, cache, grad_logits)
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p, g in zip(params, grads):
-        if p is None:
-            continue
-        for tensor, analytic in ((p.weight, g[0]), (p.bias, g[1])):
-            flat = tensor.reshape(-1)
-            n = flat.size
-            if max_checks_per_tensor is not None and n > max_checks_per_tensor:
-                idx = rng.choice(n, size=max_checks_per_tensor, replace=False)
-            else:
-                idx = range(n)
-            a_flat = analytic.reshape(-1)
-            for i in idx:
-                orig = flat[i]
-                flat[i] = orig + epsilon
-                up = eval_loss()
-                flat[i] = orig - epsilon
-                down = eval_loss()
-                flat[i] = orig
-                numeric = (up - down) / (2 * epsilon)
-                rel = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1e-3)
-                worst = max(worst, rel)
-    return worst

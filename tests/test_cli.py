@@ -602,7 +602,8 @@ def test_time_lda_script_runs():
         for sweeps in ("1-5", "11-11"):
             assert re.search(rf"^ *{k} +{sweeps} +\d+ +[01]\.\d{{3}}$", proc.stdout, re.MULTILINE), (k, sweeps)
     fold_in = re.search(r"^fold_in k=40, 5 held-out docs, infer_iters 50: \d+ us/doc; "
-                        r"fixed point (\d+), 2-cycle (\d+), cap (\d+)$", proc.stdout, re.MULTILINE)
+                        r"stopped (\d+) \(median \d+(?:\.5)?, max \d+ iterations\), cap (\d+)$",
+                        proc.stdout, re.MULTILINE)
     assert fold_in, proc.stdout
     assert sum(map(int, fold_in.groups())) == 5
 

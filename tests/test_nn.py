@@ -9,6 +9,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from gradcheck import gradient_check
 from ttn import nn
 from ttn.errors import NonFiniteInput, ShapeMismatch, UnknownLayer
 
@@ -250,7 +251,7 @@ def test_gradient_check_all_params_sigmoid():
     targets = rng.random((3, 3))
     before = nn.copy_params(params)
     # The check runs on float64 copies; the float32 params stay as they were.
-    assert nn.gradient_check(spec, params, batch.astype(np.float32), targets) < 1e-4
+    assert gradient_check(spec, params, batch.astype(np.float32), targets) < 1e-4
     assert params[0].weight.dtype == np.float32
     assert nn.params_equal(params, before)
 
@@ -264,7 +265,7 @@ def test_gradient_check_strided_conv_and_overlapping_pool():
     rng = np.random.default_rng(7)
     batch = rng.random((2, 2, 7, 7))
     targets = rng.random((2, 2))
-    assert nn.gradient_check(spec, params, batch, targets) < 1e-4
+    assert gradient_check(spec, params, batch, targets) < 1e-4
 
 
 def test_duplicate_samples_average_gradients():
