@@ -6,7 +6,8 @@ Runs forward, sigmoid cross-entropy, backward and the SGD update of
 on one BLAS thread, and prints the median forward and backward time of each
 layer, the median whole step, the minor page faults per step, the
 tracemalloc peak of one forward and backward pass and that of one forward
-alone.
+alone. It then times forward passes alone on a batch of ten crops, the
+input textnet.predict_topics runs, and prints each layer's median.
 
     python3 scripts/time_net_step.py --steps 25
 """
@@ -33,16 +34,23 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from ttn import nn  # noqa: E402
 
 
-def timed_step(spec, params, batch, targets, sgd):
-    """One training step; returns per-layer forward and backward seconds and
-    the gradients, which the caller keeps until the next step's replace
-    them, as textnet.train does."""
+def timed_forward(spec, params, batch):
+    """One forward pass; returns per-layer seconds, the logits and each
+    layer's backward data."""
     fwd, x, locals_ = [], batch, []
     for layer, p in zip(spec.layers, params):
         t0 = time.perf_counter()
         x, local = nn.layer_forward(layer, p, x)
         fwd.append(time.perf_counter() - t0)
         locals_.append(local)
+    return fwd, x, locals_
+
+
+def timed_step(spec, params, batch, targets, sgd):
+    """One training step; returns per-layer forward and backward seconds and
+    the gradients, which the caller keeps until the next step's replace
+    them, as textnet.train does."""
+    fwd, x, locals_ = timed_forward(spec, params, batch)
     _, g = nn.sigmoid_cross_entropy(x, targets)
     grads = [None] * len(spec.layers)
     bwd = [0.0] * len(spec.layers)
@@ -106,6 +114,16 @@ def main(argv=None):
     print(f"minor_faults_per_step {faults / args.steps:.1f}")
     print(f"traced_peak_mib {peak / 2**20:.2f}")
     print(f"forward_peak_mib {forward_peak / 2**20:.2f}")
+
+    # predict_topics runs the ten crops of one image as one batch.
+    crops = rng.random((10,) + spec.in_shape).astype(np.float32)
+    timed_forward(spec, params, crops)  # warm-up
+    crop_runs = [timed_forward(spec, params, crops)[0] for _ in range(args.steps)]
+    print(f"ten crops (predict_topics), batch 10, forward only, median of {args.steps} passes")
+    print(f"{'layer':<8} {'fwd_ms':>8}")
+    for i, name in enumerate(spec.layer_names()):
+        print(f"{name:<8} {statistics.median(run[i] for run in crop_runs) * 1e3:8.3f}")
+    print(f"forward_ms {statistics.median(sum(run) for run in crop_runs) * 1e3:.3f}")
 
 
 if __name__ == "__main__":

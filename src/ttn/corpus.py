@@ -8,6 +8,7 @@ makes them independent of document order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -103,22 +104,29 @@ def _strip_suffixes(token):
     return word
 
 
+# Distinct tokens whose normal form normalize remembers.
+_NORMAL_FORMS_CACHED = 2**16
+
+
+@functools.lru_cache(maxsize=_NORMAL_FORMS_CACHED)
+def _normal_form(token):
+    """token's stem, or None when normalize drops it."""
+    if token in DEFAULT_STOPWORDS:
+        return None
+    stemmed = stem(token)
+    if len(stemmed) < 2 or stemmed in DEFAULT_STOPWORDS:
+        return None
+    return stemmed
+
+
 def normalize(tokens):
     """Remove stopwords, stem the remainder, preserve order.
 
     A token whose stem lands on a stopword (or shrinks below two letters) is
     dropped as well, so running the tokenize/normalize pipeline over its own
-    output changes nothing.
+    output changes nothing. Each distinct token is stemmed once.
     """
-    out = []
-    for token in tokens:
-        if token in DEFAULT_STOPWORDS:
-            continue
-        stemmed = stem(token)
-        if len(stemmed) < 2 or stemmed in DEFAULT_STOPWORDS:
-            continue
-        out.append(stemmed)
-    return out
+    return [form for form in map(_normal_form, tokens) if form is not None]
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,40 @@
 """Minimal dense-tensor CNN kernels: layers, sigmoid cross-entropy, SGD with momentum.
 
-Everything is plain numpy. Convolution builds its patches channel-major,
-as a (C*k*k, B*OH*OW) matrix of k*k strided copies of the padded input.
-Forward builds it for slices of whole images, at most _PATCH_BUDGET
-elements each, and each slice's GEMM writes its columns of one
-(OC, B*OH*OW) output, bit for bit what one GEMM over the batch gives; the
-output is the (B, OC, OH, OW) transposed view of that (OC, B, OH, OW)
-array. A conv layer caches only its (C, B, H+2p, W+2p) padded input.
-Backward rebuilds the whole batch's patch matrix for the weight gradient,
-as Caffe does, and keeps it whole: splitting that GEMM's reduction over
-the batch would change its bits. The input
-gradient is one (C*k*k, OC) x (OC, B*OH*OW) GEMM for the whole patch
+Everything is plain numpy. Conv, relu and pool activations live in
+(C, H, W, B) memory, images innermost as in cuda-convnet; callers see
+(B, C, H, W)-shaped transposed views of it, and may hand forward a batch in
+any memory order. The first conv's zero-padded copy of its input is where a
+batch is converted, so a spatial shift of any later activation moves
+contiguous runs of W*B elements. Convolution builds its patches
+channel-major, as a (C*k*k, OH*OW*B) matrix of k*k strided copies of the
+padded input. Forward builds it for slices of whole output rows, at most
+_PATCH_BUDGET elements each, and each slice's GEMM writes its columns of
+one (OC, OH*OW*B) output, bit for bit what one GEMM over the batch gives;
+that output is already the next layer's (C, H, W, B) input. A conv layer
+caches only its (C, H+2p, W+2p, B) padded input. Backward rebuilds the
+whole batch's patch matrix for the weight gradient, as Caffe does, and
+keeps it whole: splitting that GEMM's reduction would change its bits. The
+weight and bias gradients sum over positions in (row, col, image) order,
+so their low bits differ from a kernel that sums image by image. The input
+gradient is one (C*k*k, OC) x (OC, OH*OW*B) GEMM for the whole patch
 gradient, whose k*k tap rows are then added where those patches were read.
-Max pooling is a running np.maximum over the w*w window-offset views; its
-backward recomputes the first-max mask from the cached input and output.
-Where windows share no input (stride >= window) each input has one writer,
-so the masked gradient is written, not added, and one final += 0.0 turns
-each -0.0 into the +0.0 that adding it to zeros gives. layer_forward and
-layer_backward run one layer; forward and backward loop over them. Backward
-passes are exact reverse-mode gradients, which tests/gradcheck.py checks
-against central finite differences. The net runs in float32, as Caffe's
-blobs do: init_params returns float32 tensors, and the loss returns its
-gradient in the logits' dtype so backward keeps it. The kernels keep the
-dtype they are given; the kernel tests check both precisions against a
-reference implementation, and the finite-difference check runs on
-float64 copies.
+Relu and pooling are elementwise numpy over views, so their results follow
+the input's memory. Flatten hands Dense a C-ordered (B, C*H*W) copy: a
+reshape of (C, H, W, B) memory is an F-ordered view, on which Dense's GEMM
+would sum in another order; its backward puts the gradient back into
+(C, H, W, B) memory. Max pooling is a running np.maximum over the w*w
+window-offset views; its backward recomputes the first-max mask from the
+cached input and output. Where windows share no input (stride >= window)
+each input has one writer, so the masked gradient is written, not added,
+and one final += 0.0 turns each -0.0 into the +0.0 that adding it to zeros
+gives. layer_forward and layer_backward run one layer; forward and backward
+loop over them. Backward passes are exact reverse-mode gradients, which
+tests/gradcheck.py checks against central finite differences. The net runs
+in float32, as Caffe's blobs do: init_params returns float32 tensors, and
+the loss returns its gradient in the logits' dtype so backward keeps it.
+The kernels keep the dtype they are given; the kernel tests check both
+precisions against a reference implementation, and the finite-difference
+check runs on float64 copies.
 """
 
 from __future__ import annotations
@@ -331,14 +341,14 @@ def params_equal(a, b):
 
 
 def _patches(xp, layer, oh, ow):
-    """The (C*k*k, B*OH*OW) patch matrix of a channel-major padded input."""
+    """The (C*k*k, OH*OW*B) patch matrix of a (C, H, W, B) padded input."""
     k, s = layer.kernel, layer.stride
-    c, b = xp.shape[:2]
-    cols = np.empty((c, k, k, b, oh, ow), dtype=xp.dtype)
+    c, b = xp.shape[0], xp.shape[3]
+    cols = np.empty((c, k, k, oh, ow, b), dtype=xp.dtype)
     for i in range(k):
         for j in range(k):
-            cols[:, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
-    return cols.reshape(c * k * k, b * oh * ow)
+            cols[:, i, j] = xp[:, i : i + s * oh : s, j : j + s * ow : s]
+    return cols.reshape(c * k * k, oh * ow * b)
 
 
 # Most patch-matrix elements a conv forward builds at once (4 MiB in float32).
@@ -350,40 +360,40 @@ def _conv_forward(x, layer, w, bias):
     b, c, h, wd = x.shape
     oh = (h + 2 * p - k) // s + 1
     ow = (wd + 2 * p - k) // s + 1
-    xp = np.zeros((c, b, h + 2 * p, wd + 2 * p), dtype=x.dtype)
-    xp[:, :, p : p + h, p : p + wd] = x.transpose(1, 0, 2, 3)
-    # Slices of whole images, each GEMM writing its own output columns. The
-    # BLAS sums each output column in the same order whichever columns a
+    # The padded copy is (C, H, W, B) whatever memory x is in.
+    xp = np.zeros((c, h + 2 * p, wd + 2 * p, b), dtype=x.dtype)
+    xp[:, p : p + h, p : p + wd] = x.transpose(1, 2, 3, 0)
+    # Slices of whole output rows, each GEMM writing its own output columns.
+    # The BLAS sums each output column in the same order whichever columns a
     # GEMM covers; tests/test_nn.py checks the bits against one GEMM.
     w_flat = w.reshape(layer.out_channels, -1)
-    out = np.empty((layer.out_channels, b * oh * ow), dtype=np.result_type(w, x))
-    step = max(1, _PATCH_BUDGET // (c * k * k * oh * ow))
-    for lo in range(0, b, step):
-        hi = min(lo + step, b)
-        np.matmul(w_flat, _patches(xp[:, lo:hi], layer, oh, ow), out=out[:, lo * oh * ow : hi * oh * ow])
+    out = np.empty((layer.out_channels, oh * ow * b), dtype=np.result_type(w, x))
+    step = max(1, _PATCH_BUDGET // (c * k * k * ow * b))
+    for lo in range(0, oh, step):
+        hi = min(lo + step, oh)
+        rows = xp[:, lo * s : (hi - 1) * s + k]
+        np.matmul(w_flat, _patches(rows, layer, hi - lo, ow), out=out[:, lo * ow * b : hi * ow * b])
     out += bias[:, None]
-    return out.reshape(layer.out_channels, b, oh, ow).transpose(1, 0, 2, 3), xp
+    return out.reshape(layer.out_channels, oh, ow, b).transpose(3, 0, 1, 2), xp
 
 
 def _conv_backward(grad, layer, w, xp, input_grad=True):
-    c, b, hp, wp = xp.shape
+    c, hp, wp, b = xp.shape
     oh, ow = grad.shape[2:]
-    g = grad.transpose(1, 0, 2, 3).reshape(layer.out_channels, -1)
+    g = grad.transpose(1, 2, 3, 0).reshape(layer.out_channels, -1)
     dw = (_patches(xp, layer, oh, ow) @ g.T).T.reshape(w.shape)
-    # Sum each image's map, then add the images in order: the summation
-    # order of a reduction over a C-ordered (B, OC, OH, OW) array.
-    db = np.ascontiguousarray(g.reshape(layer.out_channels, b, -1).sum(axis=2).T).sum(axis=0)
+    db = g.sum(axis=1)
     if not input_grad:
         return None, dw, db
     k, s, p = layer.kernel, layer.stride, layer.pad
-    # One GEMM gives the whole (C*k*k, B*OH*OW) patch gradient; each tap's
+    # One GEMM gives the whole (C*k*k, OH*OW*B) patch gradient; each tap's
     # rows are then added where that tap's patches were read.
-    dcols = (w.reshape(layer.out_channels, -1).T @ g).reshape(c, k, k, b, oh, ow)
+    dcols = (w.reshape(layer.out_channels, -1).T @ g).reshape(c, k, k, oh, ow, b)
     dx = np.zeros(xp.shape, dtype=grad.dtype)
     for i in range(k):
         for j in range(k):
-            dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += dcols[:, i, j]
-    return dx[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3), dw, db
+            dx[:, i : i + s * oh : s, j : j + s * ow : s] += dcols[:, i, j]
+    return dx[:, p : hp - p, p : wp - p].transpose(3, 0, 1, 2), dw, db
 
 
 def _pool_views(x, layer):
@@ -438,7 +448,9 @@ def layer_forward(layer, p, x):
     if isinstance(layer, MaxPool2d):
         return _pool_forward(x, layer)
     if isinstance(layer, Flatten):
-        return x.reshape(x.shape[0], -1), x.shape
+        # C order: a reshape of (C, H, W, B) memory would be an F-ordered
+        # view, and Dense's GEMM would sum it in another order.
+        return np.ascontiguousarray(x).reshape(x.shape[0], -1), x
     return x @ p.weight.T + p.bias, x  # Dense
 
 
@@ -472,7 +484,11 @@ def layer_backward(layer, p, local, g, input_grad=True):
     if isinstance(layer, Dense):
         return g @ p.weight, (g.T @ local, g.sum(axis=0))
     if isinstance(layer, Flatten):
-        return g.reshape(local), None
+        # Back into the memory order of the layer's input, so the layer
+        # before reads its gradient in the order it reads its own cache.
+        dx = np.empty_like(local, dtype=g.dtype)
+        dx[...] = g.reshape(local.shape)
+        return dx, None
     if isinstance(layer, Relu):
         return g * local, None
     if isinstance(layer, MaxPool2d):

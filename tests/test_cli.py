@@ -587,10 +587,13 @@ def test_time_net_step_script_runs():
     proc = subprocess.run([sys.executable, script, "--steps", "2", "--batch", "4"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    step, crops = proc.stdout.split("ten crops (predict_topics), batch 10,")
     for name in nn.tiny_topic_net(3).layer_names():
-        assert re.search(rf"^{name} +\d+\.\d{{3}} +\d+\.\d{{3}}$", proc.stdout, re.MULTILINE), name
+        assert re.search(rf"^{name} +\d+\.\d{{3}} +\d+\.\d{{3}}$", step, re.MULTILINE), name
+        assert re.search(rf"^{name} +\d+\.\d{{3}}$", crops, re.MULTILINE), name
     for metric in ("step_ms", "minor_faults_per_step", "traced_peak_mib", "forward_peak_mib"):
-        assert re.search(rf"^{metric} \d+\.\d+$", proc.stdout, re.MULTILINE), metric
+        assert re.search(rf"^{metric} \d+\.\d+$", step, re.MULTILINE), metric
+    assert re.search(r"^forward_ms \d+\.\d{3}$", crops, re.MULTILINE)
 
 
 def test_time_lda_script_runs():
