@@ -35,28 +35,32 @@ from ttn import nn  # noqa: E402
 
 
 def timed_forward(spec, params, batch):
-    """One forward pass; returns per-layer seconds, the logits and each
-    layer's backward data."""
-    fwd, x, locals_ = [], batch, []
+    """One forward pass as nn.forward runs it; returns per-layer seconds, the
+    logits and the tape of each layer's backward data. Every relu of the
+    net follows a conv or dense layer, whose output nn.forward lets it
+    overwrite, so layer_forward's in-place relu is the one nn.forward runs,
+    and the batch is not written."""
+    fwd, x, tape = [], batch, []
     for layer, p in zip(spec.layers, params):
         t0 = time.perf_counter()
         x, local = nn.layer_forward(layer, p, x)
         fwd.append(time.perf_counter() - t0)
-        locals_.append(local)
-    return fwd, x, locals_
+        tape.append(local)
+    return fwd, x, tape
 
 
 def timed_step(spec, params, batch, targets, sgd):
     """One training step; returns per-layer forward and backward seconds and
     the gradients, which the caller keeps until the next step's replace
-    them, as textnet.train does."""
-    fwd, x, locals_ = timed_forward(spec, params, batch)
+    them, as textnet.train does. Backward pops each layer's tape entry, as
+    nn.backward does, so that layer's data is freed once it has run."""
+    fwd, x, tape = timed_forward(spec, params, batch)
     _, g = nn.sigmoid_cross_entropy(x, targets)
     grads = [None] * len(spec.layers)
     bwd = [0.0] * len(spec.layers)
     for i in range(len(spec.layers) - 1, -1, -1):
         t0 = time.perf_counter()
-        g, grads[i] = nn.layer_backward(spec.layers[i], params[i], locals_[i], g, input_grad=i > 0)
+        g, grads[i] = nn.layer_backward(spec.layers[i], params[i], tape.pop(), g, input_grad=i > 0)
         bwd[i] = time.perf_counter() - t0
     nn.sgd_step(params, grads, sgd, 0)
     return fwd, bwd, grads
@@ -69,9 +73,9 @@ def traced_peaks(spec, params, batch, targets):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        logits, cache = nn.forward(spec, params, batch)
+        logits, tape = nn.forward(spec, params, batch)
         forward_peak = tracemalloc.get_traced_memory()[1] - base
-        nn.backward(spec, params, cache, nn.sigmoid_cross_entropy(logits, targets)[1])
+        nn.backward(spec, params, tape, nn.sigmoid_cross_entropy(logits, targets)[1])
         return forward_peak, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

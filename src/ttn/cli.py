@@ -321,18 +321,18 @@ def cmd_eval_svm(args):
         _required(args.val_features, "--val-features", "--val-labels")
     train_data = _labeled_features(args.features, args.labels)
     class_ids = sorted({c for d in train_data for c in d.labels})
+    lam, svms = args.lam, None
     if args.val_features:
-        val_data = _labeled_features(args.val_features, args.val_labels or args.labels)
-        lam = args.lam
+        eval_data = _labeled_features(args.val_features, args.val_labels or args.labels)
         if lam is None:
-            lam = evaluate_mod.select_lambda(train_data, val_data, class_ids, epochs=args.epochs, seed=args.seed)
-        eval_data = val_data
+            lam, svms = evaluate_mod.select_lambda(train_data, eval_data, class_ids, epochs=args.epochs,
+                                                   seed=args.seed)
     else:
-        lam = evaluate_mod.DEFAULT_LAMBDA if args.lam is None else args.lam
         eval_data = train_data
-    svms = evaluate_mod.train_one_vs_rest(
-        train_data, class_ids, lam=lam, epochs=args.epochs, seed=args.seed
-    )
+        if lam is None:
+            lam = evaluate_mod.DEFAULT_LAMBDA
+    if svms is None:
+        svms = evaluate_mod.train_one_vs_rest(train_data, class_ids, lam=lam, epochs=args.epochs, seed=args.seed)
     aps, map_value = evaluate_mod.classification_map(svms, eval_data)
     lines = ["class_id,ap"]
     lines += [f"{c},{aps[c]:.6f}" for c in class_ids]

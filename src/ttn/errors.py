@@ -41,6 +41,10 @@ class ShapeMismatch(DataError):
     """Array shapes are incompatible with the declared network or operation."""
 
 
+class TapeMismatch(TtnError):
+    """A backward tape was already consumed or does not belong to the net."""
+
+
 class NonFiniteInput(NumericError):
     """An input tensor contains NaN or infinity."""
 

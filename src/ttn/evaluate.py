@@ -208,14 +208,15 @@ def classification_map(svms, data):
 
 
 def select_lambda(train_data, val_data, class_ids, lambdas=LAMBDA_GRID, epochs=20, seed=0):
-    """Pick the lambda with the best validation mAP (ties to the smaller)."""
+    """(lambda, its one-vs-rest SVMs) for the lambda with the best
+    validation mAP (ties to the smaller)."""
     best = None
     for lam in sorted(lambdas):
         svms = train_one_vs_rest(train_data, class_ids, lam=lam, epochs=epochs, seed=seed)
         _, val_map = classification_map(svms, val_data)
-        if best is None or val_map > best[1]:
-            best = (lam, val_map)
-    return best[0]
+        if best is None or val_map > best[2]:
+            best = (lam, svms, val_map)
+    return best[:2]
 
 
 def save_features(items, path, layer=""):

@@ -10,8 +10,10 @@ channel-major, as a (C*k*k, OH*OW*B) matrix of k*k strided copies of the
 padded input. Forward builds it for slices of whole output rows, at most
 _PATCH_BUDGET elements each, and each slice's GEMM writes its columns of
 one (OC, OH*OW*B) output, bit for bit what one GEMM over the batch gives;
-that output is already the next layer's (C, H, W, B) input. A conv layer
-caches only its (C, H+2p, W+2p, B) padded input. Backward rebuilds the
+that output is already the next layer's (C, H, W, B) input. forward keeps
+no layer output: its single-use tape holds only what each layer's backward
+reads, for a conv layer its (C, H+2p, W+2p, B) padded input, and relu runs
+in place, as in Caffe (Jia et al., 2014). Backward rebuilds the
 whole batch's patch matrix for the weight gradient, as Caffe does, and
 keeps it whole: splitting that GEMM's reduction would change its bits. The
 weight and bias gradients sum over positions in (row, col, image) order,
@@ -24,7 +26,7 @@ reshape of (C, H, W, B) memory is an F-ordered view, on which Dense's GEMM
 would sum in another order; its backward puts the gradient back into
 (C, H, W, B) memory. Max pooling is a running np.maximum over the w*w
 window-offset views; its backward recomputes the first-max mask from the
-cached input and output. Where windows share no input (stride >= window)
+tape's input and output. Where windows share no input (stride >= window)
 each input has one writer, so the masked gradient is written, not added,
 and one final += 0.0 turns each -0.0 into the +0.0 that adding it to zeros
 gives. layer_forward and layer_backward run one layer; forward and backward
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteInput, ShapeMismatch, UnknownLayer
+from .errors import NonFiniteInput, ShapeMismatch, TapeMismatch, UnknownLayer
 
 
 @dataclass(frozen=True)
@@ -439,12 +441,16 @@ def _pool_backward(grad, layer, cache):
 
 
 def layer_forward(layer, p, x):
-    """One layer's output and the layer-local data its backward needs."""
+    """One layer's output and the layer-local data its backward needs.
+
+    Relu overwrites x with its output and returns x itself; every other
+    layer leaves x as it was.
+    """
     if isinstance(layer, Conv2d):
         return _conv_forward(x, layer, p.weight, p.bias)
     if isinstance(layer, Relu):
         local = x > 0
-        return x * local, local
+        return np.multiply(x, local, out=x), local
     if isinstance(layer, MaxPool2d):
         return _pool_forward(x, layer)
     if isinstance(layer, Flatten):
@@ -454,27 +460,33 @@ def layer_forward(layer, p, x):
     return x @ p.weight.T + p.bias, x  # Dense
 
 
-def forward(spec, params, batch):
-    """Run the net on a (B, C, H, W) batch; returns (logits, cache).
+# Layers whose output is a new array that no tape entry reads, so a relu
+# after one of them may overwrite it. A pool's output is on its own tape
+# entry, and a flatten's may be a view of its input.
+_OVERWRITABLE_OUTPUT = (Conv2d, Dense, Relu)
 
-    The cache holds each layer's input plus layer-local data, enough for both
-    backward() and feature extraction (layer i's output is layer i+1's input).
+
+def forward(spec, params, batch):
+    """Run the net on a (B, C, H, W) batch; returns (logits, tape).
+
+    The tape is a list holding, per layer, only the data its backward reads
+    (layer_forward's local): a conv layer's padded input, a relu's mask, a
+    pool's input and output, a dense layer's input. It is single-use:
+    backward consumes it. A relu writes its output into the activation the
+    layer before it produced when that is a conv, dense or relu output;
+    after any other layer, and on the batch itself, it works on a copy, so
+    the caller's batch is never written.
     """
     batch = np.asarray(batch)
     if batch.ndim != 4 or batch.shape[1:] != spec.in_shape:
         raise ShapeMismatch(f"batch shape {batch.shape} does not match input {spec.in_shape}")
-    x = batch
-    layer_caches = []
-    for layer, p in zip(spec.layers, params):
+    x, tape = batch, []
+    for i, (layer, p) in enumerate(zip(spec.layers, params)):
+        if isinstance(layer, Relu) and (i == 0 or not isinstance(spec.layers[i - 1], _OVERWRITABLE_OUTPUT)):
+            x = x.copy(order="K")
         x, local = layer_forward(layer, p, x)
-        layer_caches.append((x, local))
-    return x, (batch, layer_caches)
-
-
-def layer_outputs(cache):
-    """Per-layer outputs recorded by forward(), in layer order."""
-    _, layer_caches = cache
-    return [entry[0] for entry in layer_caches]
+        tape.append(local)
+    return x, tape
 
 
 def layer_backward(layer, p, local, g, input_grad=True):
@@ -497,19 +509,26 @@ def layer_backward(layer, p, local, g, input_grad=True):
     return g, (dw, db)
 
 
-def backward(spec, params, cache, grad_logits):
+def backward(spec, params, tape, grad_logits):
     """Exact gradients of the loss w.r.t. every weight and bias.
 
+    tape is the one forward() returned, and backward consumes it: it pops
+    each layer's entry as it reaches that layer, so the data of the layers
+    already done is freed while the rest run. A tape already consumed, or
+    one whose length does not match the net, raises TapeMismatch.
     grad_logits is d(loss)/d(logits), as sigmoid_cross_entropy returns it.
     Returns a params-shaped list of (d_weight, d_bias) tuples (None for
     parameterless layers).
     """
-    _, layer_caches = cache
-    grads = [None] * len(spec.layers)
+    n = len(spec.layers)
+    if len(tape) != n:
+        used = ": backward has already consumed it" if not tape else ""
+        raise TapeMismatch(f"the tape holds {len(tape)} entries for a {n}-layer net{used}")
+    grads = [None] * n
     g = np.asarray(grad_logits)
-    for i in range(len(spec.layers) - 1, -1, -1):
+    for i in range(n - 1, -1, -1):
         # nothing reads the gradient of the input batch
-        g, grads[i] = layer_backward(spec.layers[i], params[i], layer_caches[i][1], g, input_grad=i > 0)
+        g, grads[i] = layer_backward(spec.layers[i], params[i], tape.pop(), g, input_grad=i > 0)
     return grads
 
 

@@ -209,17 +209,17 @@ def train(pairs, spec, sgd_cfg, aug_cfg, seed, *, start=None, checkpoint_every=N
         idx = [_pair_index(seed, n, iteration * batch + j, perm_cache) for j in range(batch)]
         views = [augment(pairs[i].image, aug_cfg, iteration * batch + j) for j, i in enumerate(idx)]
         x = _net_batch(views)
-        logits, cache = nn.forward(spec, params, x)
+        logits, tape = nn.forward(spec, params, x)
         loss, grad_logits = nn.sigmoid_cross_entropy(logits, targets[idx])
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss became non-finite at iteration {iteration}")
-        grads = nn.backward(spec, params, cache, grad_logits)
-        # Free the batch and forward cache (about 18 MiB at batch 64) before
-        # the next step's forward allocates its own. The gradients stay bound
-        # until the next step's replace them: freeing everything at once let
-        # glibc trim the heap after each step, and every step then faulted
-        # its pages in afresh.
-        del views, x, logits, cache
+        grads = nn.backward(spec, params, tape, grad_logits)
+        # Backward has freed the tape layer by layer; free the batch too
+        # (0.75 MiB at batch 64) before the next step's is built. The
+        # gradients stay bound until the next step's replace them: freeing
+        # everything at once let glibc trim the heap after each step, and
+        # every step then faulted its pages in afresh.
+        del views, x, logits
         nn.sgd_step(params, grads, sgd_cfg, iteration)
         history.append((iteration, nn.learning_rate(sgd_cfg, iteration), loss))
         done = iteration + 1
@@ -255,16 +255,24 @@ def predict_topics(checkpoint, image):
 
 def extract_features(checkpoint, image, layer_name):
     """Flattened activation of a named layer for the center crop of a
-    (3, H, W) uint8 image; any other dtype raises DataError."""
+    (3, H, W) uint8 image; any other dtype raises DataError.
+
+    Runs the layers up to the named one and no further, keeping no backward
+    data. A relu writes its output into the activation before it, which
+    here only ever belongs to this call.
+    """
     spec = checkpoint.spec
     index = spec.resolve_layer(layer_name)
     size = spec.in_shape[1]
     c, h, w = image.shape
     if min(h, w) < size:
         raise CropTooLarge(f"image {h}x{w} smaller than net input {size}")
-    view = _crop_at(image, (h - size) // 2, (w - size) // 2, size)
-    _, cache = nn.forward(spec, checkpoint.params, _net_batch([view]))
-    return nn.layer_outputs(cache)[index].reshape(-1).copy()
+    x = _net_batch([_crop_at(image, (h - size) // 2, (w - size) // 2, size)])
+    if x.shape[1:] != spec.in_shape:
+        raise ShapeMismatch(f"crop shape {x.shape[1:]} does not match net input {spec.in_shape}")
+    for layer, p in zip(spec.layers[: index + 1], checkpoint.params):
+        x, _ = nn.layer_forward(layer, p, x)
+    return x.reshape(-1)
 
 
 def _non_finite_tensor(spec, params):

@@ -27,9 +27,9 @@ def gradient_check(spec, params, batch, targets, epsilon=1e-5, max_checks_per_te
         value, _ = nn.sigmoid_cross_entropy(logits, targets)
         return value
 
-    logits, cache = nn.forward(spec, params, batch)
+    logits, tape = nn.forward(spec, params, batch)
     _, grad_logits = nn.sigmoid_cross_entropy(logits, targets)
-    grads = nn.backward(spec, params, cache, grad_logits)
+    grads = nn.backward(spec, params, tape, grad_logits)
 
     rng = np.random.default_rng(seed)
     worst = 0.0

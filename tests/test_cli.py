@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from ttn import lda, nn
+from ttn import evaluate, lda, nn
 from ttn.cli import build_parser, main
 from ttn.fileio import MAGIC_FEATURES, MAGIC_LDA
 
@@ -204,6 +204,28 @@ def test_eval_svm_report(workspace, capsys):
     summary = dict(line.split(",") for line in lines[1:])
     assert float(summary["mAP"]) > 0.9
     assert float(summary["lambda"]) == pytest.approx(1e-3)
+
+
+def test_eval_svm_selects_lambda_without_retraining(workspace, capsys, monkeypatch):
+    # select_lambda trains one set of one-vs-rest SVMs per grid lambda; the
+    # report reuses the chosen lambda's set instead of training it again.
+    labels = os.path.join(workspace["data"], "image_labels.csv")
+    argv = ["eval", "svm", "--features", workspace["features"], "--labels", labels,
+            "--val-features", workspace["features"]]
+    calls = []
+    train_one_vs_rest = evaluate.train_one_vs_rest
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["lam"])
+        return train_one_vs_rest(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "train_one_vs_rest", counting)
+    assert main(argv) == 0
+    selected = capsys.readouterr().out
+    assert sorted(calls) == sorted(evaluate.LAMBDA_GRID)
+    lam = selected.splitlines()[-1].split(",")[1]
+    assert main(argv + [f"--lambda={lam}"]) == 0
+    assert capsys.readouterr().out == selected
 
 
 @pytest.mark.parametrize(

@@ -112,8 +112,13 @@ def test_train_one_vs_rest_and_map():
 def test_select_lambda_returns_grid_member():
     train = _cluster_data(seed=8)
     val = _cluster_data(seed=9)
-    lam = E.select_lambda(train, val, ["pos", "neg"], epochs=5, seed=0)
+    lam, svms = E.select_lambda(train, val, ["pos", "neg"], epochs=5, seed=0)
     assert lam in E.LAMBDA_GRID
+    # the SVMs trained for the chosen lambda, so callers need not retrain them
+    again = E.train_one_vs_rest(train, ["pos", "neg"], lam=lam, epochs=5, seed=0)
+    for c in ("pos", "neg"):
+        assert svms[c].weight.tobytes() == again[c].weight.tobytes()
+        assert svms[c].bias == again[c].bias
 
 
 # ----------------------------------------------------------- average precision

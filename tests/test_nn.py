@@ -11,7 +11,7 @@ import pytest
 
 from gradcheck import gradient_check
 from ttn import nn
-from ttn.errors import NonFiniteInput, ShapeMismatch, UnknownLayer
+from ttn.errors import NonFiniteInput, ShapeMismatch, TapeMismatch, UnknownLayer
 
 
 def _manual_params(spec, tensors):
@@ -86,11 +86,11 @@ def test_pool_backward_routes_to_first_max(stride):
     spec = nn.NetSpec(in_shape=(1, 5, 5), layers=(nn.MaxPool2d(2, stride=stride), nn.Flatten()))
     x = np.zeros((1, 1, 5, 5))
     x[0, 0, 1, 1] = 1.0
-    out, cache = nn.forward(spec, [None, None], x)
+    out, _ = nn.forward(spec, [None, None], x)
     grad = np.arange(1.0, out.size + 1).reshape(out.shape)
     grad[0, -1] = -0.0
-    _, layer_caches = cache
-    dx = nn._pool_backward(grad.reshape(layer_caches[0][0].shape), spec.layers[0], layer_caches[0][1])
+    pooled, local = nn.layer_forward(spec.layers[0], None, x)
+    dx = nn._pool_backward(grad.reshape(pooled.shape), spec.layers[0], local)
     want = np.zeros((5, 5))
     step = spec.layers[0].step
     n_out = (5 - 2) // step + 1
@@ -159,8 +159,8 @@ def test_layer_outputs_and_aliases():
     spec = nn.tiny_topic_net(4)
     params = nn.init_params(spec, seed=1)
     x = np.random.default_rng(0).random((2, 3, 32, 32))
-    logits, cache = nn.forward(spec, params, x)
-    outs = nn.layer_outputs(cache)
+    logits, _ = nn.forward(spec, params, x)
+    outs, _ = _layer_outputs(spec, params, x)
     assert outs[spec.resolve_layer("pool5")].shape == (2, 32, 8, 8)
     assert outs[spec.resolve_layer("fc7")].shape == (2, 128)
     assert np.array_equal(outs[spec.resolve_layer("fc2")], logits)
@@ -276,9 +276,9 @@ def test_duplicate_samples_average_gradients():
     t1, t2 = rng.random((1, 3)), rng.random((1, 3))
 
     def grads_of(batch, targets):
-        logits, cache = nn.forward(spec, params, batch)
+        logits, tape = nn.forward(spec, params, batch)
         _, gl = nn.sigmoid_cross_entropy(logits, targets)
-        return nn.backward(spec, params, cache, gl)
+        return nn.backward(spec, params, tape, gl)
 
     g_batch = grads_of(np.concatenate([x1, x2, x1]), np.concatenate([t1, t2, t1]))
     g1 = grads_of(x1, t1)
@@ -295,10 +295,10 @@ def test_gradient_zero_at_stationary_point():
     spec = nn.NetSpec(in_shape=(1, 1, 4), layers=(nn.Flatten(), nn.Dense(2)))
     params = nn.init_params(spec, seed=2)
     x = np.random.default_rng(3).random((2, 1, 1, 4))
-    logits, cache = nn.forward(spec, params, x)
+    logits, tape = nn.forward(spec, params, x)
     targets = nn.sigmoid(logits)
     loss, gl = nn.sigmoid_cross_entropy(logits, targets)
-    grads = nn.backward(spec, params, cache, gl)
+    grads = nn.backward(spec, params, tape, gl)
     np.testing.assert_allclose(grads[1][0], 0.0, atol=1e-15)
     np.testing.assert_allclose(grads[1][1], 0.0, atol=1e-15)
 
@@ -351,10 +351,10 @@ def test_full_batch_descent_monotone():
     cfg = nn.SgdConfig(base_lr=0.05, lr_decay=1.0, lr_step=1000, momentum=0.0, batch_size=8, max_iters=1000)
     losses = []
     for it in range(40):
-        logits, cache = nn.forward(spec, params, x)
+        logits, tape = nn.forward(spec, params, x)
         loss, gl = nn.sigmoid_cross_entropy(logits, t)
         losses.append(loss)
-        nn.sgd_step(params, nn.backward(spec, params, cache, gl), cfg, it)
+        nn.sgd_step(params, nn.backward(spec, params, tape, gl), cfg, it)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
 
@@ -531,6 +531,19 @@ def _bits(a):
     return (a.shape, a.dtype, np.ascontiguousarray(a).tobytes())
 
 
+def _layer_outputs(spec, params, batch):
+    """A copy of every layer's output, and every layer's backward data, from
+    a layer_forward loop. Each output is copied before a relu after it can
+    overwrite it; none of these nets starts with a relu, so the batch keeps
+    its memory order and is never written."""
+    x, outputs, locals_ = batch, [], []
+    for layer, p in zip(spec.layers, params):
+        x, local = nn.layer_forward(layer, p, x)
+        outputs.append(x.copy(order="K"))
+        locals_.append(local)
+    return outputs, locals_
+
+
 def _post_relu_ties(rng, shape):
     # Mostly negative, so many windows are all negative; relu turns those
     # into -0.0 and the exact zeros into 0.0, and 1.0 repeats within windows.
@@ -594,10 +607,10 @@ def _equivalence_inputs(case, dtype):
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_kernel_bit_identical_to_im2col_argmax_reference(case, dtype):
     spec, params, batch, grad_logits = _equivalence_inputs(case, dtype)
-    logits, cache = nn.forward(spec, params, batch)
-    grads = nn.backward(spec, params, cache, grad_logits)
+    logits, tape = nn.forward(spec, params, batch)
+    grads = nn.backward(spec, params, tape, grad_logits)
     want_outputs, want_grads, irc_grads = _ref_outputs_and_grads(spec, params, batch, grad_logits)
-    for name, got, want in zip(spec.layer_names(), nn.layer_outputs(cache), want_outputs):
+    for name, got, want in zip(spec.layer_names(), _layer_outputs(spec, params, batch)[0], want_outputs):
         assert _bits(got) == _bits(want), name
     for name, got, want in zip(spec.layer_names(), grads, want_grads):
         if want is not None:
@@ -631,15 +644,13 @@ def test_batch_memory_layout_stays_hidden(case, dtype):
     seen = {}
     for form, x in forms.items():
         assert np.array_equal(x, batch)
-        _, cache = nn.forward(spec, params, x)
-        outputs = nn.layer_outputs(cache)
+        outputs, locals_ = _layer_outputs(spec, params, x)
         for name, out in zip(spec.layer_names(), outputs):
             if out.ndim == 4:  # conv, relu and pool outputs
                 assert out.transpose(1, 2, 3, 0).flags.c_contiguous, f"{form} {name}"
-        _, layer_caches = cache
         g, input_grads, param_grads = grad_logits, [], []
         for i in range(len(spec.layers) - 1, -1, -1):
-            g, pg = nn.layer_backward(spec.layers[i], params[i], layer_caches[i][1], g)
+            g, pg = nn.layer_backward(spec.layers[i], params[i], locals_[i], g)
             input_grads.append(g)
             param_grads.extend(() if pg is None else pg)
         seen[form] = [_bits(a) for a in outputs + input_grads + param_grads]
@@ -677,10 +688,10 @@ def test_small_gemm_within_rounding_of_reference():
     rng = np.random.default_rng(5)
     batch = rng.standard_normal((3, 1, 6, 6))
     grad_logits = rng.standard_normal((3, 3))
-    logits, cache = nn.forward(spec, params, batch)
-    grads = nn.backward(spec, params, cache, grad_logits)
+    logits, tape = nn.forward(spec, params, batch)
+    grads = nn.backward(spec, params, tape, grad_logits)
     want_outputs, want_grads, _ = _ref_outputs_and_grads(spec, params, batch, grad_logits)
-    for got, want in zip(nn.layer_outputs(cache), want_outputs):
+    for got, want in zip(_layer_outputs(spec, params, batch)[0], want_outputs):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
     for got, want in zip(grads, want_grads):
         if want is not None:
@@ -692,9 +703,10 @@ def test_backward_skips_first_layer_input_gradient_without_changing_grads(monkey
     spec = nn.tiny_topic_net(3)
     params = nn.init_params(spec, seed=6)
     rng = np.random.default_rng(6)
-    logits, cache = nn.forward(spec, params, rng.random((8, 3, 32, 32), dtype=np.float32))
+    batch = rng.random((8, 3, 32, 32), dtype=np.float32)
+    logits, tape = nn.forward(spec, params, batch)
     grad_logits = rng.standard_normal(logits.shape, dtype=np.float32)
-    skipped = nn.backward(spec, params, cache, grad_logits)
+    skipped = nn.backward(spec, params, tape, grad_logits)
 
     conv_backward = nn._conv_backward
     asked = []
@@ -704,11 +716,61 @@ def test_backward_skips_first_layer_input_gradient_without_changing_grads(monkey
         return conv_backward(grad, layer, w, layer_cache, input_grad=True)
 
     monkeypatch.setattr(nn, "_conv_backward", always_input_grad)
-    computed = nn.backward(spec, params, cache, grad_logits)
+    computed = nn.backward(spec, params, nn.forward(spec, params, batch)[1], grad_logits)
     assert asked == [True, False]  # conv2 needs its input gradient, conv1 does not
     for a, b in zip(skipped, computed):
         if a is not None:
             assert _bits(a[0]) == _bits(b[0]) and _bits(a[1]) == _bits(b[1])
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        (nn.Relu(), nn.Flatten(), nn.Dense(2)),
+        (nn.MaxPool2d(2), nn.Relu(), nn.Flatten(), nn.Relu(), nn.Dense(2)),
+        (nn.Flatten(), nn.Relu(), nn.Dense(2)),
+    ],
+    ids=["relu-first", "relu-after-pool", "relu-after-flatten"],
+)
+def test_forward_relu_overwrites_neither_the_batch_nor_the_tape(layers):
+    # A relu writes its output into the activation before it only where no
+    # one else reads that: not the caller's batch, not a pool output on the
+    # tape, not a flatten output (at batch 1, a view of its input).
+    spec = nn.NetSpec(in_shape=(2, 4, 4), layers=layers)
+    params = nn.init_params(spec, seed=1)
+    rng = np.random.default_rng(2)
+    batch = rng.standard_normal((1,) + spec.in_shape) - 1.0  # some pool windows all negative
+    grad_logits = rng.standard_normal((1, spec.out_dim))
+    before = batch.tobytes()
+    want_outputs, want_grads, _ = _ref_outputs_and_grads(spec, params, batch, grad_logits)
+    logits, tape = nn.forward(spec, params, batch)
+    for layer, local, want in zip(spec.layers, tape, want_outputs):
+        if isinstance(layer, nn.MaxPool2d):
+            assert _bits(local[1]) == _bits(want)
+    grads = nn.backward(spec, params, tape, grad_logits)
+    assert batch.tobytes() == before
+    np.testing.assert_allclose(logits, want_outputs[-1], rtol=1e-13, atol=1e-15)
+    for got, want in zip(grads, want_grads):
+        if want is not None:
+            np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-13, atol=1e-15)
+
+
+def test_backward_consumes_its_tape():
+    spec = _small_spec()
+    params = nn.init_params(spec, seed=0)
+    rng = np.random.default_rng(0)
+    batch = rng.random((2,) + spec.in_shape)
+    grad_logits = rng.standard_normal((2, spec.out_dim))
+    _, tape = nn.forward(spec, params, batch)
+    nn.backward(spec, params, tape, grad_logits)
+    assert tape == []
+    with pytest.raises(TapeMismatch, match="already consumed"):
+        nn.backward(spec, params, tape, grad_logits)
+    other = nn.NetSpec(in_shape=spec.in_shape, layers=(nn.Flatten(), nn.Dense(spec.out_dim)))
+    _, other_tape = nn.forward(other, nn.init_params(other, seed=0), batch)
+    with pytest.raises(TapeMismatch, match="2 entries for a 7-layer net"):
+        nn.backward(spec, params, other_tape, grad_logits)
 
 
 def test_train_step_memory_keeps_no_patch_matrix():
@@ -727,15 +789,17 @@ def test_train_step_memory_keeps_no_patch_matrix():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _, cache = nn.forward(spec, params, batch)
-        nn.backward(spec, params, cache, grad_logits)
+        _, tape = nn.forward(spec, params, batch)
+        nn.backward(spec, params, tape, grad_logits)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < 35 * 2**20, f"forward+backward peaked at {peak / 2**20:.1f} MiB"
-    _, layer_caches = cache
-    for layer, (_, local), in_shape in zip(spec.layers, layer_caches, [spec.in_shape] + spec.shapes()[:-1]):
+    # Measured: 21.5 MiB (31.0 MiB when the forward kept every layer's output
+    # and backward held them all until it returned).
+    assert peak < 23 * 2**20, f"forward+backward peaked at {peak / 2**20:.1f} MiB"
+    _, tape = nn.forward(spec, params, batch)
+    for layer, local, in_shape in zip(spec.layers, tape, [spec.in_shape] + spec.shapes()[:-1]):
         if isinstance(layer, nn.Conv2d):
             c, h, w = in_shape
             padded = batch_size * c * (h + 2 * layer.pad) * (w + 2 * layer.pad) * batch.itemsize
@@ -785,9 +849,11 @@ def test_sliced_conv_forward_equals_one_gemm(case, dtype):
 
 
 def test_forward_peaks_near_the_cache_it_returns():
-    # The forward builds its patch matrix a slice at a time, so beyond the
-    # cache it returns it holds no more than one slice's patches; one patch
-    # matrix for the whole batch peaked 5.4 MiB above the cache.
+    # The forward keeps only its backward tape (11.7 MiB at batch 64 in
+    # float32) and builds each conv's patch matrix a slice at a time. It
+    # peaked at 14.05 MiB, in conv2, one slice's patches above the tape.
+    # Keeping every layer's output as well peaked at 18.1 MiB, and one patch
+    # matrix for the whole batch 5.4 MiB above that.
     spec = nn.tiny_topic_net(3)
     params = nn.init_params(spec, seed=0)
     batch = np.random.default_rng(0).random((64,) + spec.in_shape, dtype=np.float32)
@@ -797,10 +863,9 @@ def test_forward_peaks_near_the_cache_it_returns():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        logits, cache = nn.forward(spec, params, batch)  # held, so `kept` counts them
-        kept, peak = tracemalloc.get_traced_memory()
+        logits, tape = nn.forward(spec, params, batch)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         if started:
             tracemalloc.stop()
-    assert peak - kept <= 2 * 2**20, f"forward peaked {(peak - kept) / 2**20:.1f} MiB above its cache"
-    assert kept - base > 16 * 2**20  # the cache itself was counted
+    assert peak - base <= 15 * 2**20, f"forward peaked at {(peak - base) / 2**20:.2f} MiB"

@@ -104,9 +104,12 @@ def test_net_batch_is_bytes_over_255_for_every_entry_point():
     logits, _ = nn.forward(spec, trained.params, ten)
     mean_act = nn.sigmoid(logits).mean(axis=0)
     assert _bits(textnet.predict_topics(trained, image)) == _bits(mean_act / mean_act.sum())
-    _, cache = nn.forward(spec, trained.params, batch)
+    x, outputs = batch, []
+    for layer, p in zip(spec.layers, trained.params):
+        x, _ = nn.layer_forward(layer, p, x)
+        outputs.append(x.copy())  # before relu overwrites it
     for layer in ("fc7", "pool5", "conv1"):
-        expected = nn.layer_outputs(cache)[spec.resolve_layer(layer)].reshape(-1)
+        expected = outputs[spec.resolve_layer(layer)].reshape(-1)
         assert _bits(textnet.extract_features(trained, image, layer)) == _bits(expected), layer
 
 
@@ -339,13 +342,15 @@ def test_train_step_runs_in_float32(monkeypatch):
     forward, backward = nn.forward, nn.backward
 
     def recording_forward(spec, params, batch):
-        logits, cache = forward(spec, params, batch)
         seen.append(("batch", batch))
-        seen.extend((f"output {i}", out) for i, out in enumerate(nn.layer_outputs(cache)))
-        return logits, cache
+        x = batch
+        for i, (layer, p) in enumerate(zip(spec.layers, params)):
+            x, _ = nn.layer_forward(layer, p, x)
+            seen.append((f"output {i}", x.copy()))  # before relu overwrites it
+        return forward(spec, params, batch)
 
-    def recording_backward(spec, params, cache, grad_logits):
-        grads = backward(spec, params, cache, grad_logits)
+    def recording_backward(spec, params, tape, grad_logits):
+        grads = backward(spec, params, tape, grad_logits)
         seen.append(("grad logits", grad_logits))
         seen.extend((f"grad {i}", g) for i, pair in enumerate(grads) if pair is not None for g in pair)
         return grads
@@ -361,9 +366,9 @@ def test_train_step_runs_in_float32(monkeypatch):
 
 
 def test_train_holds_one_step_cache_at_a_time():
-    # Each step's batch and forward cache (about 18 MiB at batch 64) are
-    # freed before the next step's forward allocates its own, so three steps
-    # peak where one does.
+    # Backward frees each step's tape as it goes, and the step's batch is
+    # freed before the next step's is built, so three steps peak where one
+    # does.
     pairs = _toy_pairs(n=64, size=32)
     spec = nn.tiny_topic_net(3)
 
